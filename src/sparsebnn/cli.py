@@ -316,8 +316,13 @@ def _parse_droprates(text) -> list[float]:
         tok = tok.strip()
         if not tok:
             continue
-        val = float(tok)
+        try:
+            val = float(tok)
+        except ValueError as exc:
+            raise ConfigError(f"droprate {tok!r} is not a number") from exc
         rates.append(val / 100.0 if val > 1.0 else val)
+    if not rates:
+        raise ConfigError("droprates must name at least one rate")
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ConfigError(f"droprates must map into [0, 1): {text!r}")
     return sorted(rates)
@@ -370,23 +375,27 @@ def cmd_select(args) -> int:
     topology, prior, vp, run, train_ds, test_ds, scaler = _reload(args)
     retrain = _train_config_from({**run, "seed": run["seed"] + 1})
     report = {"schema_version": SCHEMA_VERSION}
-    if args.cv:
-        proportion = cv_threshold(
-            topology, prior, train_ds, retrain,
-            folds=args.folds,
-            candidate_proportions=(
-                [float(t) for t in args.grid.split(",")] if args.grid else None
-            ),
-            seed=run["seed"],
+    try:
+        if args.cv:
+            proportion = cv_threshold(
+                topology, prior, train_ds, retrain,
+                folds=args.folds,
+                candidate_proportions=(
+                    [float(t) for t in args.grid.split(",")]
+                    if args.grid else None
+                ),
+                seed=run["seed"],
+            )
+            # a full-keep proportion (quantile 0) means no thresholding
+            quantile = 1.0 - proportion
+            report["cv_keep_proportion"] = proportion
+        else:
+            quantile = args.quantile
+        outcome = variable_selection(
+            topology, vp, train_ds, quantile, retrain, prior
         )
-        # a full-keep proportion (quantile 0) means no thresholding at all
-        quantile = 1.0 - proportion
-        report["cv_keep_proportion"] = proportion
-    else:
-        quantile = args.quantile
-    outcome = variable_selection(
-        topology, vp, train_ds, quantile, retrain, prior
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _, unrestricted_mse = _test_metric(topology, vp, test_ds, scaler)
     masked_test = test_ds.with_feature_mask(outcome.selected)
     _, refit_mse = _test_metric(topology, outcome.refit.params,
@@ -417,6 +426,8 @@ def cmd_benchmark(args) -> int:
         entries = load_manifest(args.manifest)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad manifest: {exc}") from exc
+    if not entries:
+        raise ConfigError("bad manifest: it lists no datasets")
     rates = _parse_droprates(args.droprates)
     rule = RULE_ALIASES.get(args.rule)
     if rule is None:

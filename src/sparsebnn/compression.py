@@ -297,6 +297,8 @@ def cv_threshold(
             f"selection_rule must be 'one_se' or 'argmin', "
             f"got {selection_rule!r}"
         )
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     if candidate_proportions is None:
         candidate_proportions = np.round(np.arange(0.05, 1.0001, 0.05), 2)
     grid = np.sort(np.asarray(candidate_proportions, dtype=float))
@@ -335,10 +337,7 @@ def cv_threshold(
     best = int(np.argmin(mean_err))
     if selection_rule == "argmin":
         return float(grid[best])
-    if folds > 1:
-        se_best = float(fold_err[:, best].std(ddof=1) / np.sqrt(folds))
-    else:
-        se_best = 0.0
+    se_best = float(fold_err[:, best].std(ddof=1) / np.sqrt(folds))
     within = np.flatnonzero(mean_err <= mean_err[best] + se_best)
     return float(grid[int(within[0])])
 

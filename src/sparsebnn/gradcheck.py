@@ -22,7 +22,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .svi import SpikeSlabPrior, grad_penalty, optimal_p
 
@@ -79,6 +78,9 @@ def _gauss_pdf(w, m, sigma):
 
 
 def _quad_reference(fn, m, sigma):
+    # deferred: scipy.integrate costs every importer about 0.2 s
+    from scipy.integrate import quad
+
     lo = m - 12.0 * sigma
     hi = m + 12.0 * sigma
     val, _ = quad(fn, lo, hi, limit=200)

@@ -17,6 +17,9 @@ optimal p has the closed form  p* = logistic(B - A)  where
 The training objective for a batch is  mean-over-draws NLL  plus
 kl_weight * sum_i R_i, and its gradients flow through the pathwise
 parameterization  W = m + softplus(rho) * eps.
+
+scipy.special is imported inside the three functions that call it, so
+importing the package, pruning and scoring features load no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .network import ShapeMismatch, backward, forward, nll, nll_grad
 
@@ -119,6 +121,8 @@ def sigma_of_rho(rho):
 
 def dsigma_drho(rho):
     """d softplus / d rho = 1 / (1 + e^-rho)."""
+    from scipy.special import expit
+
     return expit(rho)
 
 
@@ -135,6 +139,8 @@ def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
 
 def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     """Per-parameter prior-matching penalty (vectorized over the inputs)."""
+    from scipy.special import xlogy
+
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -152,6 +158,8 @@ def optimal_p(m, sigma, prior: SpikeSlabPrior):
     Computed as a logistic of B - A so extreme gaps saturate cleanly to
     0 or 1 instead of producing NaN.
     """
+    from scipy.special import expit
+
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     s = m * m + sigma * sigma

@@ -127,6 +127,19 @@ class TestPruneCommand:
         for row in rows:
             assert abs(float(row["sparsity"]) - float(row["droprate"])) < 0.02
 
+    @pytest.mark.parametrize("droprates, message", [
+        ("", "at least one rate"), (" , ", "at least one rate"),
+        ("10,ten", "not a number"),
+    ])
+    def test_bad_droprates_exit_2(self, tmp_path, capsys, droprates,
+                                  message):
+        out = _train(tmp_path)
+        code = main(["prune", "--checkpoint", str(out / "model.ckpt"),
+                     "--droprates", droprates])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "prune.csv").exists()
+
     def test_default_droprate_grid(self):
         from sparsebnn.cli import build_parser
 
@@ -215,6 +228,20 @@ class TestSelectCommand:
             1.0 - report["cv_keep_proportion"]
         )
 
+    def test_single_fold_cv_exits_2(self, tmp_path, capsys):
+        out = _train(tmp_path)
+        code = main(["select", "--checkpoint", str(out / "model.ckpt"),
+                     "--cv", "--folds", "1"])
+        assert code == 2
+        assert "folds must be >= 2" in capsys.readouterr().err
+
+    def test_quantile_one_exits_2(self, tmp_path, capsys):
+        out = _train(tmp_path)
+        code = main(["select", "--checkpoint", str(out / "model.ckpt"),
+                     "--quantile", "1.0"])
+        assert code == 2
+        assert "keep_quantile" in capsys.readouterr().err
+
 
 def _write_benchmark_fixtures(tmp_path):
     rng = np.random.default_rng(7)
@@ -264,6 +291,25 @@ class TestBenchmarkCommand:
         )
         assert code == 2
         assert "9999" in capsys.readouterr().err
+
+    def test_empty_droprates_exit_2(self, tmp_path, capsys):
+        mpath = _write_benchmark_fixtures(tmp_path)
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["benchmark", "--manifest", str(mpath), "--repeats", "1",
+             "--epochs", "2", "--droprates", "", "--out", str(out)]
+        )
+        assert code == 2
+        assert "droprates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_manifest_exits_2(self, tmp_path, capsys):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"datasets": []}))
+        code = main(["benchmark", "--manifest", str(mpath),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "no datasets" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

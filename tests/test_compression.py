@@ -345,6 +345,14 @@ class TestCvThreshold:
                 ds, TrainConfig(epochs=1), folds=10,
             )
 
+    def test_single_fold_rejected(self):
+        ds = self._data(0.5)
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            cv_threshold(
+                NetworkTopology((10, 8, 1)), SpikeSlabPrior(0.5, 1.0, 0.1),
+                ds, TrainConfig(epochs=1), folds=1,
+            )
+
     def test_bad_grid_rejected(self):
         ds = self._data(0.5)
         with pytest.raises(ValueError, match="proportions"):
