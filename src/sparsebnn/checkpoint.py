@@ -1,21 +1,25 @@
-"""Versioned binary checkpoint for a trained variational state.
+"""Versioned framed-binary files: checkpoints and prune masks.
 
-Byte layout (all integers and floats little-endian):
+Both share one frame (integers and floats little-endian): bytes 0..7 the
+magic, b"SSBNNCK1" for a checkpoint or b"SSBNNMK1" for a mask; bytes 8..11
+the uint32 header length H; bytes 12..12+H a UTF-8 JSON header with sorted
+keys; then the arrays back to back, each of n_params entries in canonical
+order.  Every header holds format_version (int, currently 1),
+canonical_order (string id of the flat-vector layout) and n_params (int).
 
-    bytes 0..7    magic  b"SSBNNCK1"
-    bytes 8..11   uint32  header length H
-    bytes 12..12+H  UTF-8 JSON header with keys:
-                    format_version  (int, currently 1)
-                    canonical_order (string id of the flat-vector layout)
-                    layer_sizes, hidden_activation, output_head
-                    prior {pi, tau1, tau0}
-                    n_params        (int, M)
-                    has_mask        (bool)
-    then three float64 arrays of length M in canonical order: m, rho, p;
-    then, if has_mask, one uint8 array of length M (1 = active).
+    checkpoint  layer_sizes, hidden_activation, output_head,
+                prior {pi, tau1, tau0}, has_mask (bool);
+                float64 m, rho, p, then uint8 active (1 = free) if has_mask
+    mask        rule, droprate; uint8 keep (1 = keep)
 
-Floats are stored as raw IEEE-754 doubles, so save -> load round-trips
-bit-exactly.
+Floats are raw IEEE-754 doubles, so save -> load round-trips bit-exactly.
+A loader raises ValueError naming the file and what it expected when the
+file is under 12 bytes or has another magic; when the header is truncated,
+not a JSON object, or lacks a key or holds one of the wrong type; when
+format_version or canonical_order differ from this library's; when the
+file has more or fewer bytes than the header implies; when a p lies
+outside [0, 1] or a uint8 flag is not 0 or 1; or when a checkpoint's
+n_params, layer sizes, activations or prior are inconsistent.
 """
 
 from __future__ import annotations
@@ -32,68 +36,115 @@ from .svi import SpikeSlabPrior, VariationalParams
 MAGIC = b"SSBNNCK1"
 FORMAT_VERSION = 1
 
+_FRAME_KEYS = {"format_version": int, "canonical_order": str, "n_params": int}
+_CHECKPOINT_KEYS = {"layer_sizes": list, "hidden_activation": str,
+                    "output_head": str, "prior": dict, "has_mask": bool}
+
+
+def write_framed(path, magic: bytes, header: dict, layout, arrays) -> None:
+    """Write ``header`` plus the frame's keys, then ``arrays``, as one file.
+
+    ``layout`` is as for :func:`read_framed`; it gives each array's dtype.
+    """
+    header = {**header, "format_version": FORMAT_VERSION,
+              "canonical_order": CANONICAL_ORDER,
+              "n_params": int(arrays[0].size)}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for (_, dtype, _), values in zip(layout(header), arrays):
+            fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
+
+
+def read_framed(path, magic: bytes, keys: dict, layout):
+    """Validate a framed file and return (header, arrays).
+
+    ``keys`` maps each header key beyond the frame's own to its type, or a
+    tuple of types.  ``layout(header)`` lists the arrays after the header as
+    (name, dtype, bounds) triples of n_params entries each; bounds is an
+    inclusive (lo, hi) range every entry must lie in, or None.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) < 12:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected at least 12")
+    if raw[:8] != magic:
+        raise ValueError(f"{path}: bad magic {raw[:8]!r}, expected {magic!r}")
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for key, types in {**_FRAME_KEYS, **keys}.items():
+        if key not in header:
+            raise ValueError(f"{path}: header lacks key {key!r}")
+        value = header[key]
+        # JSON true/false load as bool, which is a subclass of int
+        if not isinstance(value, types) or (
+                isinstance(value, bool) != (types is bool)):
+            raise ValueError(f"{path}: header key {key!r} has the wrong "
+                             f"type: {value!r}")
+    for key, expected in (("format_version", FORMAT_VERSION),
+                          ("canonical_order", CANONICAL_ORDER)):
+        if header[key] != expected:
+            raise ValueError(f"{path}: {key} {header[key]!r}, "
+                             f"expected {expected!r}")
+    M, specs, off = header["n_params"], layout(header), 12 + hlen
+    size = off + M * sum(np.dtype(dtype).itemsize for _, dtype, _ in specs)
+    if len(raw) != size:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected {size} for "
+                         f"n_params={M}")
+    arrays = []
+    for name, dtype, bounds in specs:
+        values = np.frombuffer(raw, dtype=dtype, count=M, offset=off).copy()
+        off += values.nbytes
+        if bounds and not np.all((values >= bounds[0]) & (values <= bounds[1])):
+            raise ValueError(f"{path}: {name} entries must lie in "
+                             f"[{bounds[0]}, {bounds[1]}]")
+        arrays.append(values)
+    return header, arrays
+
+
+def _checkpoint_layout(header):
+    flags = [("active", "u1", (0, 1))] if header["has_mask"] else []
+    return [("m", "<f8", None), ("rho", "<f8", None),
+            ("p", "<f8", (0, 1))] + flags
+
 
 def save_checkpoint(path, topology: NetworkTopology, prior: SpikeSlabPrior,
                     vp: VariationalParams) -> None:
     if len(vp) != topology.n_params:
-        raise ValueError(
-            f"variational state has {len(vp)} entries but the topology "
-            f"expects {topology.n_params}"
-        )
+        raise ValueError(f"variational state has {len(vp)} entries but the "
+                         f"topology expects {topology.n_params}")
     header = {
-        "format_version": FORMAT_VERSION,
-        "canonical_order": CANONICAL_ORDER,
         "layer_sizes": list(topology.layer_sizes),
         "hidden_activation": topology.hidden_activation,
         "output_head": topology.output_head,
         "prior": {"pi": prior.pi, "tau1": prior.tau1, "tau0": prior.tau0},
-        "n_params": topology.n_params,
         "has_mask": vp.active is not None,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(vp.m, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(vp.rho, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(vp.p, dtype="<f8").tobytes())
-        if vp.active is not None:
-            fh.write(np.ascontiguousarray(vp.active, dtype=np.uint8).tobytes())
+    # without a mask the layout lists three arrays, so active is not written
+    write_framed(path, MAGIC, header, _checkpoint_layout,
+                 [vp.m, vp.rho, vp.p, vp.active])
 
 
 def load_checkpoint(path):
     """Returns (topology, prior, params) from a checkpoint file."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    if header["format_version"] != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format version {header['format_version']}"
-        )
-    if header["canonical_order"] != CANONICAL_ORDER:
-        raise ValueError(
-            f"{path}: parameter order {header['canonical_order']!r} does not "
-            f"match this library's {CANONICAL_ORDER!r}"
-        )
-    topology = NetworkTopology(
-        tuple(header["layer_sizes"]),
-        hidden_activation=header["hidden_activation"],
-        output_head=header["output_head"],
-    )
-    prior = SpikeSlabPrior(**header["prior"])
-    M = int(header["n_params"])
-    if M != topology.n_params:
-        raise ValueError(f"{path}: header n_params {M} inconsistent with sizes")
-    off = 12 + hlen
-    arrays = []
-    for _ in range(3):
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=M, offset=off).copy())
-        off += 8 * M
-    active = None
-    if header["has_mask"]:
-        active = np.frombuffer(raw, dtype=np.uint8, count=M, offset=off).astype(bool)
-    vp = VariationalParams(*arrays, active=active)
-    return topology, prior, vp
+    header, arrays = read_framed(path, MAGIC, _CHECKPOINT_KEYS,
+                                 _checkpoint_layout)
+    try:
+        topology = NetworkTopology(tuple(header["layer_sizes"]),
+                                   header["hidden_activation"],
+                                   header["output_head"])
+        prior = SpikeSlabPrior(**header["prior"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if header["n_params"] != topology.n_params:
+        raise ValueError(f"{path}: n_params {header['n_params']}, expected "
+                         f"{topology.n_params} for {topology.layer_sizes}")
+    m, rho, p, *active = arrays
+    return topology, prior, VariationalParams(
+        m, rho, p, active=active[0].astype(bool) if active else None)

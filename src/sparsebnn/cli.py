@@ -13,7 +13,8 @@ The other subcommands locate ``run.json`` next to a checkpoint to rebuild
 the exact dataset, split, and standardization of the original run, so a
 saved configuration re-executes to identical outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.
+Exit codes: 0 success, 2 any bad file, path or option value (``main`` maps
+every OSError and ValueError to it), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -110,32 +111,29 @@ def build_dataset(spec: str) -> Dataset:
         raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
     kind, rest = spec.split(":", 1)
     kv = _parse_kv(rest)
-    try:
-        if kind == "two_feature":
-            return gen_two_feature(
-                float(kv.get("alpha", 0.5)), int(kv.get("n", 2000)),
-                int(kv.get("seed", 0)),
+    if kind == "two_feature":
+        return gen_two_feature(
+            float(kv.get("alpha", 0.5)), int(kv.get("n", 2000)),
+            int(kv.get("seed", 0)),
+        )
+    if kind == "sparse":
+        return gen_sparse_regression(
+            SyntheticSpec(
+                n=int(kv.get("n", 2000)),
+                n_features=int(kv.get("d", 100)),
+                alpha=float(kv.get("alpha", 2.0)),
+                pi_active=float(kv.get("pi", 0.2)),
+                link=kv.get("link", "linear"),
+                seed=int(kv.get("seed", 0)),
             )
-        if kind == "sparse":
-            return gen_sparse_regression(
-                SyntheticSpec(
-                    n=int(kv.get("n", 2000)),
-                    n_features=int(kv.get("d", 100)),
-                    alpha=float(kv.get("alpha", 2.0)),
-                    pi_active=float(kv.get("pi", 0.2)),
-                    link=kv.get("link", "linear"),
-                    seed=int(kv.get("seed", 0)),
-                )
-            )
-        if kind == "csv":
-            if "path" not in kv or "target" not in kv:
-                raise ConfigError("csv spec needs path= and target=")
-            target = kv["target"]
-            if target.lstrip("-").isdigit():
-                target = int(target)
-            return load_csv(kv["path"], target)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
+        )
+    if kind == "csv":
+        if "path" not in kv or "target" not in kv:
+            raise ConfigError("csv spec needs path= and target=")
+        target = kv["target"]
+        if target.lstrip("-").isdigit():
+            target = int(target)
+        return load_csv(kv["path"], target)
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
@@ -155,17 +153,13 @@ def _read_config_file(path) -> dict:
 
 
 def _coerce(key, value):
-    if value is None:
-        return None
-    kind = type(DEFAULTS[key]) if DEFAULTS.get(key) is not None else str
     if key in ("seed", "split_seed", "epochs", "batch", "mc_samples"):
         return int(value)
     if key == "standardize":
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes")
-    if kind is float or key in ("lr", "prior_pi", "log_tau1", "log_tau0",
-                                "noise_variance", "train_frac"):
+    if isinstance(DEFAULTS.get(key), float):
         return float(value)
     return str(value)
 
@@ -194,43 +188,34 @@ def resolve_options(args, keys) -> dict:
 
 
 def _prior_from(opts) -> SpikeSlabPrior:
-    try:
-        return SpikeSlabPrior(
-            pi=opts["prior_pi"],
-            tau1=float(np.exp(opts["log_tau1"])),
-            tau0=float(np.exp(opts["log_tau0"])),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SpikeSlabPrior(
+        pi=opts["prior_pi"],
+        tau1=float(np.exp(opts["log_tau1"])),
+        tau0=float(np.exp(opts["log_tau0"])),
+    )
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
     hidden = tuple(int(h) for h in str(opts["hidden"]).split(",") if h.strip())
-    try:
-        return NetworkTopology(
-            (n_features, *hidden, 1 if opts["head"] == "identity" else
-             int(opts.get("n_classes", 2))),
-            hidden_activation=opts["activation"],
-            output_head=opts["head"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NetworkTopology(
+        (n_features, *hidden, 1 if opts["head"] == "identity" else
+         int(opts.get("n_classes", 2))),
+        hidden_activation=opts["activation"],
+        output_head=opts["head"],
+    )
 
 
 def _train_config_from(opts) -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=opts["epochs"],
-            batch_size=opts["batch"],
-            learning_rate=opts["lr"],
-            optimizer=opts["optimizer"],
-            mc_samples=opts["mc_samples"],
-            kl_schedule=opts["kl_schedule"],
-            seed=opts["seed"],
-            noise_variance=opts["noise_variance"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(
+        epochs=opts["epochs"],
+        batch_size=opts["batch"],
+        learning_rate=opts["lr"],
+        optimizer=opts["optimizer"],
+        mc_samples=opts["mc_samples"],
+        kl_schedule=opts["kl_schedule"],
+        seed=opts["seed"],
+        noise_variance=opts["noise_variance"],
+    )
 
 
 def _prepare_run(opts, data_spec):
@@ -289,23 +274,26 @@ def cmd_train(args) -> int:
 
 
 def _load_run(checkpoint_path):
+    """The run.json next to a checkpoint, with every option key checked."""
     run_path = Path(checkpoint_path).parent / "run.json"
-    if not run_path.exists():
-        raise ConfigError(
-            f"{run_path} not found; cannot rebuild the training dataset"
-        )
-    with open(run_path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        run = json.loads(run_path.read_text(encoding="utf-8"))
+        return {**run, **{k: _coerce(k, run[k]) for k in ("data", *DEFAULTS)}}
+    except KeyError as exc:
+        raise ConfigError(f"{run_path}: lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{run_path}: {exc}") from None
 
 
 def _reload(args):
-    try:
-        topology, prior, vp = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    topology, prior, vp = load_checkpoint(args.checkpoint)
     run = _load_run(args.checkpoint)
     data_spec = args.data or run["data"]
     _, train_ds, test_ds, scaler = _prepare_run(run, data_spec)
+    if train_ds.n_features != topology.n_inputs:
+        raise ConfigError(f"data {data_spec!r} has {train_ds.n_features} "
+                          f"features; {args.checkpoint} takes "
+                          f"{topology.n_inputs}")
     return topology, prior, vp, run, train_ds, test_ds, scaler
 
 
@@ -354,11 +342,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    try:
-        topology, _, vp = load_checkpoint(args.checkpoint)
-        psi = feature_importance_psi(topology, vp)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    topology, _, vp = load_checkpoint(args.checkpoint)
+    psi = feature_importance_psi(topology, vp)
     phi = feature_importance_phi(psi)
     out_path = Path(args.out or Path(args.checkpoint).parent / "importance.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -375,27 +360,24 @@ def cmd_select(args) -> int:
     topology, prior, vp, run, train_ds, test_ds, scaler = _reload(args)
     retrain = _train_config_from({**run, "seed": run["seed"] + 1})
     report = {"schema_version": SCHEMA_VERSION}
-    try:
-        if args.cv:
-            proportion = cv_threshold(
-                topology, prior, train_ds, retrain,
-                folds=args.folds,
-                candidate_proportions=(
-                    [float(t) for t in args.grid.split(",")]
-                    if args.grid else None
-                ),
-                seed=run["seed"],
-            )
-            # a full-keep proportion (quantile 0) means no thresholding
-            quantile = 1.0 - proportion
-            report["cv_keep_proportion"] = proportion
-        else:
-            quantile = args.quantile
-        outcome = variable_selection(
-            topology, vp, train_ds, quantile, retrain, prior
+    if args.cv:
+        proportion = cv_threshold(
+            topology, prior, train_ds, retrain,
+            folds=args.folds,
+            candidate_proportions=(
+                [float(t) for t in args.grid.split(",")]
+                if args.grid else None
+            ),
+            seed=run["seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # a full-keep proportion (quantile 0) means no thresholding
+        quantile = 1.0 - proportion
+        report["cv_keep_proportion"] = proportion
+    else:
+        quantile = args.quantile
+    outcome = variable_selection(
+        topology, vp, train_ds, quantile, retrain, prior
+    )
     _, unrestricted_mse = _test_metric(topology, vp, test_ds, scaler)
     masked_test = test_ds.with_feature_mask(outcome.selected)
     _, refit_mse = _test_metric(topology, outcome.refit.params,
@@ -422,12 +404,7 @@ def cmd_select(args) -> int:
 
 def cmd_benchmark(args) -> int:
     opts = resolve_options(args, DEFAULTS.keys())
-    try:
-        entries = load_manifest(args.manifest)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad manifest: {exc}") from exc
-    if not entries:
-        raise ConfigError("bad manifest: it lists no datasets")
+    entries = load_manifest(args.manifest)
     rates = _parse_droprates(args.droprates)
     rule = RULE_ALIASES.get(args.rule)
     if rule is None:
@@ -438,12 +415,9 @@ def cmd_benchmark(args) -> int:
     prior = _prior_from(opts)
     rows = []
     for entry in entries:
-        try:
-            full = load_csv(entry["path"], entry["target"],
-                            expected_shape=entry["expected_shape"],
-                            name=entry["name"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        full = load_csv(entry["path"], entry["target"],
+                        expected_shape=entry["expected_shape"],
+                        name=entry["name"])
         topology = _topology_from(opts, full.n_features)
         per_rate = {rate: [] for rate in rates}
         for r in range(repeats):
@@ -497,11 +471,8 @@ def cmd_gradcheck(args) -> int:
             for s in (0.3, 1.0)
         ]
     out_path = Path(args.out or "gradcheck.csv")
-    try:
-        variance_comparison(settings, draws=int(args.draws),
-                            seed=int(args.seed or 0), out_csv=out_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    variance_comparison(settings, draws=int(args.draws),
+                        seed=int(args.seed or 0), out_csv=out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -588,7 +559,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:

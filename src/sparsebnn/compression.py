@@ -17,24 +17,21 @@ over paths; the scaled variant min-max rescales those scores to [0, 1].
 from __future__ import annotations
 
 import csv
-import json
-import struct
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .checkpoint import read_framed, write_framed
 from .datasets import Dataset, kfold_indices
-from .network import CANONICAL_ORDER, NetworkTopology, layer_slices
+from .network import NetworkTopology, layer_slices
 from .svi import SpikeSlabPrior, VariationalParams
 from .training import TrainConfig, TrainReport, predict, train
 
 RANK_RULES = ("inclusion_p", "second_moment", "snr")
 
 MASK_MAGIC = b"SSBNNMK1"
-MASK_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -53,35 +50,24 @@ class PruneMask:
             raise ValueError(f"droprate must lie in [0, 1), got {self.droprate}")
 
     def save(self, path) -> None:
-        header = {
-            "format_version": MASK_FORMAT_VERSION,
-            "canonical_order": CANONICAL_ORDER,
-            "rule": self.rule,
-            "droprate": self.droprate,
-            "n_params": int(self.keep.size),
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(MASK_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(self.keep.astype(np.uint8).tobytes())
+        """Write the mask file documented in :mod:`sparsebnn.checkpoint`."""
+        write_framed(path, MASK_MAGIC,
+                     {"rule": self.rule, "droprate": self.droprate},
+                     _mask_layout, [self.keep])
 
     @classmethod
     def load(cls, path) -> "PruneMask":
-        raw = Path(path).read_bytes()
-        if raw[:8] != MASK_MAGIC:
-            raise ValueError(f"{path}: not a mask file (bad magic)")
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        if header["format_version"] != MASK_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported mask format {header['format_version']}"
-            )
-        keep = np.frombuffer(
-            raw, dtype=np.uint8, count=int(header["n_params"]), offset=12 + hlen
-        ).astype(bool)
-        return cls(keep=keep, rule=header["rule"], droprate=header["droprate"])
+        header, (keep,) = read_framed(path, MASK_MAGIC, {
+            "rule": str, "droprate": (int, float)}, _mask_layout)
+        try:
+            return cls(keep=keep.astype(bool), rule=header["rule"],
+                       droprate=header["droprate"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _mask_layout(header):
+    return [("keep", "u1", (0, 1))]
 
 
 def rank_score(vp: VariationalParams, rule: str) -> np.ndarray:
@@ -276,7 +262,6 @@ def cv_threshold(
     folds: int = 10,
     candidate_proportions=None,
     seed: int = 0,
-    selection_rule: str = "one_se",
 ) -> float:
     """Pick the keep-proportion by cross-validated select-then-refit error.
 
@@ -286,17 +271,11 @@ def cv_threshold(
 
     The CV curve typically falls steeply while true features are still
     missing and then goes flat, because the refit's own sparsity makes
-    surplus features nearly free.  Under ``"one_se"`` (default) the
-    smallest proportion within one standard error of the minimum is
-    returned, which reads off that elbow; ``"argmin"`` returns the raw
-    minimizer (ties resolve to the smaller proportion) and tends to
-    over-select by drifting across the flat valley.
+    surplus features nearly free.  The smallest proportion within one
+    standard error of the minimum is returned, which reads off that elbow;
+    the raw minimizer tends to over-select by drifting across the flat
+    valley.
     """
-    if selection_rule not in ("one_se", "argmin"):
-        raise ValueError(
-            f"selection_rule must be 'one_se' or 'argmin', "
-            f"got {selection_rule!r}"
-        )
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if candidate_proportions is None:
@@ -310,13 +289,14 @@ def cv_threshold(
     ):
         fold_train = dataset.subset(tr_idx)
         fold_val = dataset.subset(va_idx)
-        fold_config = _reseeded(train_config, train_config.seed + 1000 * (k + 1))
+        fold_config = replace(train_config,
+                              seed=train_config.seed + 1000 * (k + 1))
         full = train(topology, prior, fold_train, fold_config)
         psi = feature_importance_psi(topology, full.params)
         phi = feature_importance_phi(psi)
         # one refit seed per fold, shared across candidates: errors are
         # compared within a fold, so common noise cancels
-        refit_config = _reseeded(fold_config, fold_config.seed + 17)
+        refit_config = replace(fold_config, seed=fold_config.seed + 17)
         for g, proportion in enumerate(grid):
             if proportion >= 1.0:
                 selected = np.ones(dataset.n_features, dtype=bool)
@@ -335,12 +315,6 @@ def cv_threshold(
             fold_err[k, g] = float(np.mean((pred - fold_val.y) ** 2))
     mean_err = fold_err.mean(axis=0)
     best = int(np.argmin(mean_err))
-    if selection_rule == "argmin":
-        return float(grid[best])
     se_best = float(fold_err[:, best].std(ddof=1) / np.sqrt(folds))
     within = np.flatnonzero(mean_err <= mean_err[best] + se_best)
     return float(grid[int(within[0])])
-
-
-def _reseeded(config: TrainConfig, seed: int) -> TrainConfig:
-    return replace(config, seed=seed)

@@ -320,23 +320,24 @@ def load_manifest(path):
     """Read a benchmark manifest: JSON list of dataset entries.
 
     Each entry carries name, path (relative to the manifest), target column,
-    and optional expected n/p used to validate ingestion.
+    and optional expected n/p used to validate ingestion.  A manifest with
+    no entries, or a malformed entry, raises ValueError naming the manifest
+    and the entry index.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc["datasets"] if isinstance(doc, dict) else doc
+    entries = doc.get("datasets") if isinstance(doc, dict) else doc
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: lists no datasets")
     out = []
-    for e in entries:
-        expected = None
-        if "n" in e and "p" in e:
-            expected = (int(e["n"]), int(e["p"]))
-        out.append(
-            {
-                "name": e["name"],
-                "path": (path.parent / e["path"]).resolve(),
-                "target": e["target"],
-                "expected_shape": expected,
-            }
-        )
+    for i, e in enumerate(entries):
+        try:
+            expected = ((int(e["n"]), int(e["p"])) if "n" in e and "p" in e
+                        else None)
+            out.append({"name": e["name"], "target": e["target"],
+                        "path": (path.parent / e["path"]).resolve(),
+                        "expected_shape": expected})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: dataset entry {i}: {exc!r}") from None
     return out

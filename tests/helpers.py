@@ -1,5 +1,8 @@
 """Shared oracles and builders for the test suite."""
 
+import json
+import struct
+
 import numpy as np
 
 from sparsebnn import NetworkTopology, SpikeSlabPrior, VariationalParams
@@ -94,3 +97,17 @@ def straight_line_forward(topology, w, x):
                 a = z
         outs.append(a)
     return np.asarray(outs)
+
+
+def reframe(raw: bytes, edit) -> bytes:
+    """Rewrite a checkpoint or mask file after ``edit`` mutates its header.
+
+    Parses the documented frame (8-byte magic, uint32 header length, JSON
+    header) by hand, so a test can hand the loader a header the library's
+    writer would never produce.
+    """
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from helpers import reframe
 from sparsebnn import load_checkpoint, predict, split, standardize_fit_apply
 from sparsebnn.cli import build_dataset, main
 
@@ -53,6 +55,14 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "0 < tau0 < tau1" in capsys.readouterr().err
+
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", "sparse:n=64,d=2,seed=1",
+                         "--out", str(tmp_path / "x"), "--optimizer", "sgd",
+                         "--lr", "1e200", "--epochs", "3"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical abort:")
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "x")])
@@ -339,3 +349,110 @@ class TestGradcheckCommand:
                      "--out", str(tmp_path / "g.csv")])
         assert code == 2
         assert "m,sigma,pi,tau1,tau0" in capsys.readouterr().err
+
+
+BAD_DATA = "sparse:n=200,d=5,seed=0"
+
+
+@pytest.fixture(scope="module")
+def bad_input_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bad_input") / "run"
+    assert main(["train", "--data", BAD_DATA, "--epochs", "2",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _damaged_run(run, tmp, damage):
+    """A copy of ``run`` whose run.json or model.ckpt ``damage`` rewrites."""
+    copy = tmp / "damaged"
+    shutil.copytree(run, copy)
+    damage(copy)
+    return ["prune", "--checkpoint", str(copy / "model.ckpt")]
+
+
+def _edit_run_json(edit):
+    def damage(copy):
+        run = json.loads((copy / "run.json").read_text())
+        edit(run)
+        (copy / "run.json").write_text(json.dumps(run))
+    return damage
+
+
+def _rewrite_checkpoint(rewrite):
+    def damage(copy):
+        path = copy / "model.ckpt"
+        path.write_bytes(rewrite(path.read_bytes()))
+    return damage
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case: (run, tmp) -> argv, plus the text stderr must name
+BAD_INPUTS = [
+    pytest.param(lambda run, tmp: [
+        "prune", "--checkpoint", str(run / "model.ckpt"),
+        "--data", "sparse:n=200,d=7,seed=0"], "d=7", id="prune-data-width"),
+    pytest.param(lambda run, tmp: [
+        "prune", "--checkpoint", str(run / "model.ckpt"),
+        "--out", str(tmp / "nodir" / "p.csv")], "nodir", id="prune-out-dir"),
+    pytest.param(lambda run, tmp: [
+        "importance", "--checkpoint", str(run / "model.ckpt"),
+        "--out", str(tmp / "nodir" / "i.csv")], "nodir",
+        id="importance-out-dir"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--draws", "100", "--out", str(tmp / "nodir" / "g.csv")],
+        "nodir", id="gradcheck-out-dir"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--out", _write(tmp / "taken", "")],
+        "taken", id="train-out-is-file"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--config", str(tmp / "nofile.conf")],
+        "nofile.conf", id="train-config-missing"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--out", str(tmp / "x"),
+        "--config", _write(tmp / "run.conf", "epochs = two\n")], "two",
+        id="config-epochs-two"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--hidden", "a", "--out", str(tmp / "x")],
+        "'a'", id="train-hidden-a"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--settings", "a,b,c,d,e", "--out", str(tmp / "g.csv")],
+        "'a'", id="gradcheck-settings-a"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--head", "softmax", "--epochs", "1",
+        "--out", str(tmp / "x")], "softmax", id="train-head-softmax"),
+    pytest.param(lambda run, tmp: _damaged_run(
+        run, tmp, lambda copy: (copy / "run.json").write_text("{not json")),
+        "run.json", id="run-json-malformed"),
+    pytest.param(lambda run, tmp: _damaged_run(
+        run, tmp, _edit_run_json(lambda doc: doc.pop("data"))),
+        "run.json: lacks key 'data'", id="run-json-without-data"),
+    pytest.param(lambda run, tmp: _damaged_run(
+        run, tmp, _edit_run_json(lambda doc: doc.update(seed=None))),
+        "run.json", id="run-json-null-seed"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", _write(tmp / "manifest.json", json.dumps(
+            {"datasets": [{"path": "a.csv", "target": "y"}]}))],
+        "manifest.json: dataset entry 0: KeyError('name')",
+        id="manifest-entry-without-name"),
+    pytest.param(lambda run, tmp: _damaged_run(
+        run, tmp, _rewrite_checkpoint(
+            lambda raw: reframe(raw, lambda header: header.pop("has_mask")))),
+        "has_mask", id="checkpoint-without-has-mask"),
+    pytest.param(lambda run, tmp: _damaged_run(
+        run, tmp, _rewrite_checkpoint(lambda raw: raw[:11])),
+        "model.ckpt", id="checkpoint-under-12-bytes"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_INPUTS)
+def test_bad_file_path_or_option_exits_2(bad_input_run, tmp_path, capsys,
+                                         argv, named):
+    code = main(argv(bad_input_run, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert named in err

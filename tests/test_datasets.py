@@ -1,5 +1,7 @@
 """Generators, standardization, splitting, and CSV ingestion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,25 @@ class TestCsvLoader:
         ds = load_csv(entries[0]["path"], entries[0]["target"],
                       expected_shape=entries[0]["expected_shape"])
         assert ds.n == 3 and ds.n_features == 2
+
+    @pytest.mark.parametrize("key", ["name", "path", "target"])
+    def test_manifest_entry_without_key_names_file_and_index(self, tmp_path,
+                                                             key):
+        entry = {"name": "toy", "path": "toy.csv", "target": "t"}
+        del entry[key]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"datasets": [
+            {"name": "ok", "path": "ok.csv", "target": "t"}, entry]}))
+        with pytest.raises(ValueError, match=rf"manifest\.json: dataset "
+                                             rf"entry 1: KeyError\('{key}'\)"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("doc", [{"datasets": []}, {}, [], 7])
+    def test_manifest_without_datasets_rejected(self, tmp_path, doc):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="manifest.json: lists no datasets"):
+            load_manifest(manifest)
 
 
 class TestDatasetInvariants:
