@@ -41,20 +41,32 @@ _CHECKPOINT_KEYS = {"layer_sizes": list, "hidden_activation": str,
                     "output_head": str, "prior": dict, "has_mask": bool}
 
 
+def _check_bounds(path, name, values, bounds) -> None:
+    # NaN fails both comparisons, so it is rejected too
+    if bounds and not np.all((values >= bounds[0]) & (values <= bounds[1])):
+        raise ValueError(f"{path}: {name} entries must lie in "
+                         f"[{bounds[0]}, {bounds[1]}]")
+
+
 def write_framed(path, magic: bytes, header: dict, layout, arrays) -> None:
     """Write ``header`` plus the frame's keys, then ``arrays``, as one file.
 
-    ``layout`` is as for :func:`read_framed`; it gives each array's dtype.
+    ``layout`` is as for :func:`read_framed`; it gives each array's dtype
+    and bounds.  An array outside its bounds raises ValueError before
+    anything is written, so the writer makes no file its reader rejects.
     """
     header = {**header, "format_version": FORMAT_VERSION,
               "canonical_order": CANONICAL_ORDER,
               "n_params": int(arrays[0].size)}
+    specs = layout(header)
+    for (name, _, bounds), values in zip(specs, arrays):
+        _check_bounds(path, name, values, bounds)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for (_, dtype, _), values in zip(layout(header), arrays):
+        for (_, dtype, _), values in zip(specs, arrays):
             fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 
@@ -101,9 +113,7 @@ def read_framed(path, magic: bytes, keys: dict, layout):
     for name, dtype, bounds in specs:
         values = np.frombuffer(raw, dtype=dtype, count=M, offset=off).copy()
         off += values.nbytes
-        if bounds and not np.all((values >= bounds[0]) & (values <= bounds[1])):
-            raise ValueError(f"{path}: {name} entries must lie in "
-                             f"[{bounds[0]}, {bounds[1]}]")
+        _check_bounds(path, name, values, bounds)
         arrays.append(values)
     return header, arrays
 

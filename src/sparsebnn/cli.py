@@ -152,15 +152,23 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _coerce(key, value):
-    if key in ("seed", "split_seed", "epochs", "batch", "mc_samples"):
-        return int(value)
+def _coerce(key, value, source):
+    """``value`` as option ``key``'s type.
+
+    A value that does not convert raises ConfigError naming the key and
+    ``source``, where the value came from.
+    """
     if key == "standardize":
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes")
-    if isinstance(DEFAULTS.get(key), float):
-        return float(value)
+    try:
+        if key in ("seed", "split_seed", "epochs", "batch", "mc_samples"):
+            return int(value)
+        if isinstance(DEFAULTS.get(key), float):
+            return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {key} = {value!r}: {exc}") from None
     return str(value)
 
 
@@ -177,11 +185,11 @@ def resolve_options(args, keys) -> dict:
                 continue
             if k not in merged:
                 raise ConfigError(f"unknown config key {k!r}")
-            merged[k] = _coerce(k, v)
+            merged[k] = _coerce(k, v, config_path)
     for k in keys:
         cli_val = getattr(args, k, None)
         if cli_val is not None:
-            merged[k] = _coerce(k, cli_val)
+            merged[k] = _coerce(k, cli_val, "--" + k.replace("_", "-"))
     if merged.get("split_seed") is None:
         merged["split_seed"] = merged.get("seed", 0)
     return merged
@@ -278,11 +286,12 @@ def _load_run(checkpoint_path):
     run_path = Path(checkpoint_path).parent / "run.json"
     try:
         run = json.loads(run_path.read_text(encoding="utf-8"))
-        return {**run, **{k: _coerce(k, run[k]) for k in ("data", *DEFAULTS)}}
+        options = {k: run[k] for k in ("data", *DEFAULTS)}
     except KeyError as exc:
         raise ConfigError(f"{run_path}: lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{run_path}: {exc}") from None
+    return {**run, **{k: _coerce(k, v, run_path) for k, v in options.items()}}
 
 
 def _reload(args):

@@ -18,7 +18,7 @@ so that log-sum-exp stays numerically stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class NetworkTopology:
     def n_affine_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return sum(
             fi * fo + fo
@@ -215,7 +215,10 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
     """
     topology = trace.topology
     w = _check_params(topology, w)
-    if not np.array_equal(trace.params, w):
+    # NaN != NaN, so a NaN weight retries with equal_nan instead of raising
+    # StaleTrace; the caller's finiteness check then reports it.
+    if not (np.array_equal(trace.params, w)
+            or np.array_equal(trace.params, w, equal_nan=True)):
         raise StaleTrace(
             "trace was built from a different parameter vector; "
             "rerun forward before backward"
@@ -263,6 +266,21 @@ def _class_targets(outputs, targets):
     return t
 
 
+def _residual(outputs, targets, noise_variance):
+    if noise_variance <= 0:
+        raise ValueError(
+            f"noise_variance must be positive, got {noise_variance}"
+        )
+    return outputs - _regression_targets(outputs, targets)
+
+
+def _gaussian_nll(resid, noise_variance) -> float:
+    return float(
+        0.5 * (resid * resid).sum() / noise_variance
+        + 0.5 * resid.size * np.log(2.0 * np.pi * noise_variance)
+    )
+
+
 def nll(head: str, outputs, targets, noise_variance: float = 1.0) -> float:
     """Negative log-likelihood of a batch, summed over observations.
 
@@ -272,16 +290,8 @@ def nll(head: str, outputs, targets, noise_variance: float = 1.0) -> float:
     """
     outputs = np.asarray(outputs, dtype=float)
     if head == "identity":
-        if noise_variance <= 0:
-            raise ValueError(
-                f"noise_variance must be positive, got {noise_variance}"
-            )
-        t = _regression_targets(outputs, targets)
-        resid = outputs - t
-        return float(
-            0.5 * np.sum(resid * resid) / noise_variance
-            + 0.5 * outputs.size * np.log(2.0 * np.pi * noise_variance)
-        )
+        return _gaussian_nll(_residual(outputs, targets, noise_variance),
+                             noise_variance)
     if head == "softmax":
         t = _class_targets(outputs, targets)
         zmax = outputs.max(axis=1, keepdims=True)
@@ -294,18 +304,23 @@ def nll_grad(head: str, outputs, targets, noise_variance: float = 1.0):
     """Gradient of :func:`nll` with respect to ``outputs``."""
     outputs = np.asarray(outputs, dtype=float)
     if head == "identity":
-        if noise_variance <= 0:
-            raise ValueError(
-                f"noise_variance must be positive, got {noise_variance}"
-            )
-        t = _regression_targets(outputs, targets)
-        return (outputs - t) / noise_variance
+        return _residual(outputs, targets, noise_variance) / noise_variance
     if head == "softmax":
         t = _class_targets(outputs, targets)
         probs = apply_head("softmax", outputs)
         probs[np.arange(len(t)), t] -= 1.0
         return probs
     raise ValueError(f"unknown output head {head!r}")
+
+
+def _nll_and_grad(head: str, outputs, targets, noise_variance: float):
+    """(:func:`nll`, :func:`nll_grad`) of one batch; the identity head
+    computes its residual once for both."""
+    if head == "identity":
+        resid = _residual(outputs, targets, noise_variance)
+        return _gaussian_nll(resid, noise_variance), resid / noise_variance
+    return (nll(head, outputs, targets, noise_variance),
+            nll_grad(head, outputs, targets, noise_variance))
 
 
 def apply_head(head: str, outputs):

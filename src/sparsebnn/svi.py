@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import ShapeMismatch, backward, forward, nll, nll_grad
+from .network import ShapeMismatch, _nll_and_grad, backward, forward, nll
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,9 @@ def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     s = m * m + sigma * sigma
     slab = s / (2.0 * prior.tau1**2) + np.log(prior.tau1 / prior.pi)
     spike = s / (2.0 * prior.tau0**2) + np.log(prior.tau0 / (1.0 - prior.pi))
-    entropy = xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
-    out = p * slab + (1.0 - p) * spike - np.log(sigma) + entropy
+    q = 1.0 - p
+    entropy = xlogy(p, p) + xlogy(q, q)
+    out = p * slab + q * spike - np.log(sigma) + entropy
     return out if out.ndim else float(out)
 
 
@@ -198,12 +199,12 @@ def grad_penalty(m, sigma, p, prior: SpikeSlabPrior):
 
 def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior) -> float:
     """Sum of R over active parameters."""
-    act = vp.active_mask()
+    if vp.active is None:
+        return float(penalty_R(vp.m, vp.sigma, vp.p, prior).sum())
+    act = vp.active
     if not act.any():
         return 0.0
-    return float(
-        np.sum(penalty_R(vp.m[act], vp.sigma[act], vp.p[act], prior))
-    )
+    return float(penalty_R(vp.m[act], vp.sigma[act], vp.p[act], prior).sum())
 
 
 def _resolve_draws(n_params, mc_samples, noise, seed):
@@ -251,26 +252,36 @@ def objective_estimate(
     return nll_sum / len(draws) + kl_weight * penalty_total(vp, prior)
 
 
-def _grads_and_objective(topology, vp, prior, x, y, eps, kl_weight, noise_variance):
-    """Single-draw gradients of the batch objective w.r.t. (m, rho)."""
-    w = sample_weights(vp, eps)
-    outputs, trace = forward(topology, w, x)
-    data_nll = nll(topology.output_head, outputs, y, noise_variance)
-    g_out = nll_grad(topology.output_head, outputs, y, noise_variance)
-    g_w = backward(trace, w, g_out)
-
-    sigma = vp.sigma
+def _penalty_terms(vp: VariationalParams, prior, sigma, kl_weight):
+    """(dsigma/drho, kl_weight * dR/dm, kl_weight * dR/drho): the part of a
+    step's gradient no draw changes; ``sigma`` is softplus(vp.rho)."""
     d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
     sp = dsigma_drho(vp.rho)
-    e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)
+    return sp, kl_weight * d_m, kl_weight * d_s2 * 2.0 * sigma * sp
 
-    grad_m = g_w + kl_weight * d_m
-    grad_rho = g_w * e * sp + kl_weight * d_s2 * 2.0 * sigma * sp
+
+def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
+               noise_variance):
+    """One pathwise draw: (grad_m, grad_rho, NLL) of the batch objective.
+
+    ``sigma`` and ``terms`` (from :func:`_penalty_terms`) are shared by
+    every draw of a step; ``e`` is the draw's standard-normal vector.  The
+    forward trace lives only inside this call.
+    """
+    w = vp.m + sigma * e
+    if vp.active is not None:
+        w = np.where(vp.active, w, 0.0)
+    outputs, trace = forward(topology, w, x)
+    data_nll, g_out = _nll_and_grad(topology.output_head, outputs, y,
+                                    noise_variance)
+    g_w = backward(trace, w, g_out)
+    sp, pen_m, pen_rho = terms
+    grad_m = g_w + pen_m
+    grad_rho = g_w * e * sp + pen_rho
     if vp.active is not None:
         grad_m = np.where(vp.active, grad_m, 0.0)
         grad_rho = np.where(vp.active, grad_rho, 0.0)
-    objective = data_nll + kl_weight * penalty_total(vp, prior)
-    return grad_m, grad_rho, objective
+    return grad_m, grad_rho, data_nll
 
 
 def step_gradients(
@@ -295,7 +306,11 @@ def step_gradients(
     x = np.asarray(x, dtype=float)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    grad_m, grad_rho, _ = _grads_and_objective(
-        topology, vp, prior, x, y, eps, kl_weight, noise_variance
-    )
+    e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)
+    if e.shape != vp.m.shape:
+        raise ShapeMismatch("noise draw", vp.m.shape, e.shape)
+    sigma = vp.sigma
+    terms = _penalty_terms(vp, prior, sigma, kl_weight)
+    grad_m, grad_rho, _ = _draw_step(topology, vp, sigma, terms, x, y, e,
+                                     noise_variance)
     return grad_m, grad_rho

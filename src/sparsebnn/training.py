@@ -5,10 +5,21 @@ Each optimizer step draws pathwise noise, takes a gradient step on
 refreshes every inclusion probability from its closed form.  The penalty
 share is either uniform (1/M per batch) or the geometric schedule
 r_i = 2^(M-i) / (2^M - 1).
+
+A step, in order: the penalty-gradient terms, from the sigma carried
+over from the last p refresh; per draw one ``NoiseDraw.draw``, one
+``svi._draw_step`` (sample, forward, NLL, one ``network.backward``; the
+forward trace dies with it) and one ``svi.penalty_total`` for the logged
+objective, the three calls per draw that the benchmark's tracer counts;
+the optimizer step on the one buffer ``[m | rho]`` that ``vp.m`` and
+``vp.rho`` view; then sigma and p refreshed.  Only masked runs apply the
+keep mask.  A fixed seed gives bit-identical results, pinned by
+``tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,9 +32,12 @@ from .svi import (
     NoiseDraw,
     SpikeSlabPrior,
     VariationalParams,
-    _grads_and_objective,
+    _draw_step,
+    _penalty_terms,
     optimal_p,
+    penalty_total,
     sample_weights,
+    sigma_of_rho,
 )
 
 KL_SCHEDULES = ("uniform", "blundell")
@@ -109,8 +123,9 @@ class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
-    def update(self, theta, grad):
-        return theta - self.lr * grad
+    def update(self, grad):
+        """The step to subtract from the parameters."""
+        return self.lr * grad
 
 
 class _Adam:
@@ -123,13 +138,16 @@ class _Adam:
         self.m2 = np.zeros(size)
         self.t = 0
 
-    def update(self, theta, grad):
+    def update(self, grad):
+        """The step to subtract from the parameters."""
         self.t += 1
-        self.m1 = self.beta1 * self.m1 + (1.0 - self.beta1) * grad
-        self.m2 = self.beta2 * self.m2 + (1.0 - self.beta2) * grad * grad
+        self.m1 *= self.beta1
+        self.m1 += (1.0 - self.beta1) * grad
+        self.m2 *= self.beta2
+        self.m2 += (1.0 - self.beta2) * grad * grad
         mhat = self.m1 / (1.0 - self.beta1**self.t)
         vhat = self.m2 / (1.0 - self.beta2**self.t)
-        return theta - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def init_params(
@@ -182,6 +200,12 @@ def train(
         topology, prior, config, master
     )
     size = len(vp)
+    theta = np.concatenate([vp.m, vp.rho])
+    vp.m, vp.rho = theta[:size], theta[size:]
+    grad = np.empty(2 * size)
+    active = vp.active
+    # entries of [m | rho] the update writes: all, or the unpruned ones
+    keep = True if active is None else np.concatenate([active, active])
     if config.optimizer == "adam":
         opt = _Adam(config.learning_rate, config.adam_beta1,
                     config.adam_beta2, config.adam_eps, 2 * size)
@@ -190,10 +214,13 @@ def train(
 
     n_batches = -(-dataset.n // config.batch_size)
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
+    # the cut points of np.array_split(perm, n_batches)
+    small, extra = divmod(dataset.n, n_batches)
+    bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
     objective = np.zeros(config.epochs)
     train_loss = np.zeros(config.epochs)
     wall_ms = np.zeros(config.epochs)
-    active = vp.active_mask()
+    sigma = sigma_of_rho(vp.rho)
 
     draw_index = 0
     step = 0
@@ -201,36 +228,34 @@ def train(
         t0 = time.perf_counter()
         perm = master.permutation(dataset.n)
         epoch_obj = 0.0
-        for b, idx in enumerate(np.array_split(perm, n_batches)):
-            xb, yb = x_all[idx], y_all[idx]
-            gm = np.zeros(size)
-            gr = np.zeros(size)
+        for b in range(n_batches):
+            idx = perm[bounds[b]:bounds[b + 1]]
+            xb, yb = x_all.take(idx, axis=0), y_all.take(idx, axis=0)
+            kl = kl_weights[b]
+            terms = _penalty_terms(vp, prior, sigma, kl)
+            grad.fill(0.0)
             obj = 0.0
             for _ in range(config.mc_samples):
                 eps = NoiseDraw.draw(size, config.seed, draw_index)
                 draw_index += 1
-                gm_l, gr_l, obj_l = _grads_and_objective(
-                    topology, vp, prior, xb, yb, eps,
-                    kl_weights[b], config.noise_variance,
+                gm, gr, data_nll = _draw_step(
+                    topology, vp, sigma, terms, xb, yb, eps.eps,
+                    config.noise_variance,
                 )
-                gm += gm_l
-                gr += gr_l
-                obj += obj_l
-            gm /= config.mc_samples
-            gr /= config.mc_samples
+                grad[:size] += gm
+                grad[size:] += gr
+                obj += data_nll + kl * penalty_total(vp, prior)
+            grad /= config.mc_samples
             obj /= config.mc_samples
-            if not np.isfinite(obj):
+            if not math.isfinite(obj):
                 raise NumericalAbort(step, "objective")
-            if not np.all(np.isfinite(gm)):
-                raise NumericalAbort(step, "grad_m")
-            if not np.all(np.isfinite(gr)):
-                raise NumericalAbort(step, "grad_rho")
-            theta = opt.update(
-                np.concatenate([vp.m, vp.rho]), np.concatenate([gm, gr])
-            )
-            vp.m = np.where(active, theta[:size], vp.m)
-            vp.rho = np.where(active, theta[size:], vp.rho)
-            vp.p = np.where(active, optimal_p(vp.m, vp.sigma, prior), vp.p)
+            if not np.isfinite(grad).all():
+                bad_m = not np.isfinite(grad[:size]).all()
+                raise NumericalAbort(step, "grad_m" if bad_m else "grad_rho")
+            np.subtract(theta, opt.update(grad), out=theta, where=keep)
+            sigma = sigma_of_rho(vp.rho)
+            p = optimal_p(vp.m, sigma, prior)
+            vp.p = p if active is None else np.where(active, p, vp.p)
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj

@@ -413,8 +413,8 @@ BAD_INPUTS = [
         "nofile.conf", id="train-config-missing"),
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--out", str(tmp / "x"),
-        "--config", _write(tmp / "run.conf", "epochs = two\n")], "two",
-        id="config-epochs-two"),
+        "--config", _write(tmp / "run.conf", "epochs = two\n")],
+        "run.conf: epochs = 'two'", id="config-epochs-two"),
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--hidden", "a", "--out", str(tmp / "x")],
         "'a'", id="train-hidden-a"),
@@ -432,7 +432,7 @@ BAD_INPUTS = [
         "run.json: lacks key 'data'", id="run-json-without-data"),
     pytest.param(lambda run, tmp: _damaged_run(
         run, tmp, _edit_run_json(lambda doc: doc.update(seed=None))),
-        "run.json", id="run-json-null-seed"),
+        "run.json: seed = None", id="run-json-null-seed"),
     pytest.param(lambda run, tmp: [
         "benchmark", "--manifest", _write(tmp / "manifest.json", json.dumps(
             {"datasets": [{"path": "a.csv", "target": "y"}]}))],

@@ -6,6 +6,7 @@ the example counts stay low.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -178,13 +179,27 @@ def test_trailing_bytes_rejected(folder, intact, extra, mask_file):
                      st.floats(min_value=1.0000000000000002),
                      st.just(float("nan"))),
        index=st.integers(0, 3))
-def test_p_outside_unit_interval_rejected(folder, bad, index):
-    vp = _state()
+def test_p_outside_unit_interval_rejected(folder, intact, bad, index):
+    # p is the last of an unmasked checkpoint's three float64 arrays
+    raw = bytearray(intact["plain.ckpt"])
+    at = len(raw) - 8 * (len(_state()) - index)
+    raw[at:at + 8] = struct.pack("<d", bad)
+    _assert_rejected(folder, "p.ckpt", bytes(raw), _load_checkpoint)
+
+
+@FUZZ
+@given(bad=st.one_of(st.floats(max_value=-1e-300),
+                     st.floats(min_value=1.0000000000000002),
+                     st.just(float("nan"))),
+       index=st.integers(0, 3), masked=st.booleans())
+def test_save_rejects_p_outside_unit_interval(folder, bad, index, masked):
+    vp = _state([True, True, False, True] if masked else None)
     vp.p[index] = bad
-    path = folder / "p.ckpt"
-    save_checkpoint(path, TOPOLOGY, PRIOR, vp)
+    path = folder / "unwritten.ckpt"
+    path.unlink(missing_ok=True)
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_checkpoint(path)
+        save_checkpoint(path, TOPOLOGY, PRIOR, vp)
+    assert not path.exists()
 
 
 @FUZZ

@@ -3,9 +3,11 @@
 Each run hashes its final ``(m, rho, p)`` and its per-epoch ``objective``
 and ``train_loss`` as little-endian float64 bytes.  A refactor that keeps
 the arithmetic keeps every hash; one that reorders floating-point work
-changes them and must say so.  The hashes were recorded with numpy 2.4.6
-and scipy 1.17.1 on x86-64 (OpenBLAS); another numpy, BLAS or CPU may
-round differently.
+changes them and must say so.  Beside each hash, the final objective,
+``sum(p)`` and ``m[:3]`` are pinned as values at a relative tolerance of
+1e-12, so a change that moves bits shows how far the numbers moved.  The
+pins were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64
+(OpenBLAS); another numpy, BLAS or CPU may round differently.
 """
 
 import hashlib
@@ -56,6 +58,16 @@ def _pruned_init():
     return train(topology, PRIOR, _data(2), config, init=pruned)
 
 
+def _pruned_sgd_blundell_tanh():
+    topology = NetworkTopology((6, 8, 4, 1), hidden_activation="tanh")
+    config = TrainConfig(epochs=5, batch_size=64, learning_rate=1e-3,
+                         optimizer="sgd", kl_schedule="blundell",
+                         mc_samples=3, seed=8)
+    start = init_params(topology, PRIOR, config, np.random.default_rng(9))
+    _, pruned = prune(start, "inclusion_p", 0.5)
+    return train(topology, PRIOR, _data(3), config, init=pruned)
+
+
 def digests(report) -> dict:
     def sha(*arrays):
         h = hashlib.sha256()
@@ -75,6 +87,7 @@ RUNS = {
     "adam_uniform_relu": _adam_uniform_relu,
     "sgd_blundell_tanh_3draws": _sgd_blundell_tanh,
     "pruned_init": _pruned_init,
+    "pruned_sgd_blundell_tanh_3draws": _pruned_sgd_blundell_tanh,
 }
 
 GOLDEN = {
@@ -93,9 +106,40 @@ GOLDEN = {
         "objective": "1a9a844657c75a88a07c9adc7cb159ea82f176275b4e121ad936c7ad8faf576d",
         "train_loss": "3f024631373e2ae170bf38662a0d146ec50f2b61ec8ae5bdf5479aa08a697c96",
     },
+    "pruned_sgd_blundell_tanh_3draws": {
+        "params": "007939a29b7343adba8ea75a569754b00edb97301db876aa423947ac2f5e37cc",
+        "objective": "f70fb0c0d4d060c345007bc232e516ce03fea3e26be9a59a54ebca055e3c5187",
+        "train_loss": "301c2b3b963b32f0d00eb9d18f81b7bf33006805743371e074ffc8e5055a5e85",
+    },
+}
+
+# (final objective, sum(p), m[:3]); a pruned entry of m is exactly 0.0
+GOLDEN_VALUES = {
+    "adam_uniform_relu": (
+        404.73115302340716, 10.696329367344575,
+        [-0.026716499289926435, 0.014048985237064118, -0.0047375615455934085],
+    ),
+    "sgd_blundell_tanh_3draws": (
+        385.58476837481805, 8.294631103894478,
+        [-0.039151116153746196, -0.013839764056112338, 0.11402429229502956],
+    ),
+    "pruned_init": (
+        346.3513981425703, 5.27035100964242,
+        [-0.0203550121997344, -0.0218266588681099, -0.01371542146761291],
+    ),
+    "pruned_sgd_blundell_tanh_3draws": (
+        371.3426195931735, 7.39295047882106,
+        [-0.051359215484915864, 0.0, -0.11200961185387949],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_fixed_seed_run_matches_golden_hashes(name):
-    assert digests(RUNS[name]()) == GOLDEN[name]
+    report = RUNS[name]()
+    objective, sum_p, m3 = GOLDEN_VALUES[name]
+    close = dict(rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.objective[-1], objective, **close)
+    np.testing.assert_allclose(np.sum(report.params.p), sum_p, **close)
+    np.testing.assert_allclose(report.params.m[:3], m3, **close)
+    assert digests(report) == GOLDEN[name]

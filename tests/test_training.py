@@ -24,6 +24,7 @@ from sparsebnn import (
     standardize_fit_apply,
     train,
 )
+from sparsebnn.training import predict_proba
 
 
 class TestMinibatchWeights:
@@ -320,3 +321,37 @@ def test_fixed_noise_variance_scales_likelihood():
     assert o2 - pen - 0.5 * 40 * math.log(4 * math.pi) == pytest.approx(
         quad / 2.0
     )
+
+
+def test_nan_weight_aborts_on_objective_not_stale_trace():
+    ds = _linear_dataset(n=64, seed=2)
+    topo = NetworkTopology((1, 2, 1))
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    config = TrainConfig(epochs=2, batch_size=64, seed=3)
+    start = VariationalParams(np.zeros(topo.n_params),
+                              np.full(topo.n_params, -3.0),
+                              np.full(topo.n_params, 0.5))
+    start.m[0] = np.nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            train(topo, prior, ds, config, init=start)
+    assert (err.value.step, err.value.quantity) == (0, "objective")
+
+
+def test_softmax_head_learns_integer_labels():
+    # three classes cut from a noisy linear score; the largest holds 39%
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 2))
+    score = x[:, 0] + 0.5 * x[:, 1] + 0.3 * rng.standard_normal(300)
+    labels = np.digitize(score, [-0.6, 0.4])
+    ds = Dataset(x, labels, ["a", "b"])
+    topo = NetworkTopology((2, 8, 3), output_head="softmax")
+    report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                   TrainConfig(epochs=60, batch_size=32, seed=5))
+    proba = predict_proba(topo, report.params, ds.X)
+    assert proba.shape == (300, 3)
+    np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    error = np.mean(proba.argmax(axis=1) != labels)
+    majority = 1.0 - np.bincount(labels).max() / len(labels)
+    assert error < majority
+    assert report.train_loss[-1] == error
