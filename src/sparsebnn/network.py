@@ -199,7 +199,8 @@ def forward(topology: NetworkTopology, w, x):
     trace.hidden.append(a)
     n_layers = topology.n_affine_layers
     for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology), start=1):
-        z = a @ w[w_sl].reshape(shape) + w[b_sl]
+        z = a @ w[w_sl].reshape(shape)
+        z += w[b_sl]
         trace.pre.append(z)
         if l < n_layers:
             a = _activate(topology.hidden_activation, z)

@@ -18,8 +18,9 @@ The training objective for a batch is  mean-over-draws NLL  plus
 kl_weight * sum_i R_i, and its gradients flow through the pathwise
 parameterization  W = m + softplus(rho) * eps.
 
-scipy.special is imported inside the three functions that call it, so
-importing the package, pruning and scoring features load no scipy.
+expit, x*log x and softplus are built from numpy's vectorized exp, log
+and log1p, so training loads no scipy; of the package, only the gradient
+check does (``scipy.integrate``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .network import ShapeMismatch, _nll_and_grad, backward, forward, nll
+
+# SeedSequence splits an int past this into several 32-bit words
+_WORD_LIMIT = 2**32
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,11 @@ class NoiseDraw:
 
     @classmethod
     def draw(cls, size: int, seed: int, index: int = 0) -> "NoiseDraw":
-        rng = np.random.default_rng([int(seed), int(index)])
+        key = [int(seed), int(index)]
+        if 0 <= key[0] < _WORD_LIMIT and 0 <= key[1] < _WORD_LIMIT:
+            # the same SeedSequence words as the list, coerced faster
+            key = np.array(key, dtype=np.uint32)
+        rng = np.random.default_rng(key)
         return cls(eps=rng.standard_normal(size), seed=seed, index=index)
 
     @classmethod
@@ -114,16 +122,25 @@ class NoiseDraw:
         return cls(eps=np.zeros(size), seed=-1, index=-1)
 
 
+def _expit(x):
+    """Logistic 1 / (1 + e^-x); saturates to 0 or 1 without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(np.negative(x)))
+
+
+def _xlogx(x):
+    """x * log(x), with 0 * log 0 = 0."""
+    return x * np.log(np.where(x == 0.0, 1.0, x))
+
+
 def sigma_of_rho(rho):
     """softplus(rho) = log(1 + e^rho), safe against over/underflow."""
-    return np.logaddexp(0.0, rho)
+    return np.maximum(rho, 0.0) + np.log1p(np.exp(-np.abs(rho)))
 
 
 def dsigma_drho(rho):
     """d softplus / d rho = 1 / (1 + e^-rho)."""
-    from scipy.special import expit
-
-    return expit(rho)
+    return _expit(rho)
 
 
 def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
@@ -139,8 +156,6 @@ def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
 
 def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     """Per-parameter prior-matching penalty (vectorized over the inputs)."""
-    from scipy.special import xlogy
-
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -148,7 +163,7 @@ def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     slab = s / (2.0 * prior.tau1**2) + np.log(prior.tau1 / prior.pi)
     spike = s / (2.0 * prior.tau0**2) + np.log(prior.tau0 / (1.0 - prior.pi))
     q = 1.0 - p
-    entropy = xlogy(p, p) + xlogy(q, q)
+    entropy = _xlogx(p) + _xlogx(q)
     out = p * slab + q * spike - np.log(sigma) + entropy
     return out if out.ndim else float(out)
 
@@ -159,8 +174,6 @@ def optimal_p(m, sigma, prior: SpikeSlabPrior):
     Computed as a logistic of B - A so extreme gaps saturate cleanly to
     0 or 1 instead of producing NaN.
     """
-    from scipy.special import expit
-
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     s = m * m + sigma * sigma
@@ -169,7 +182,7 @@ def optimal_p(m, sigma, prior: SpikeSlabPrior):
         + np.log(prior.tau0 / prior.tau1)
         + np.log(prior.pi / (1.0 - prior.pi))
     )
-    out = expit(gap)
+    out = _expit(gap)
     return out if out.ndim else float(out)
 
 
@@ -197,14 +210,18 @@ def grad_penalty(m, sigma, p, prior: SpikeSlabPrior):
     return float(d_m), float(d_s2)
 
 
-def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior) -> float:
-    """Sum of R over active parameters."""
+def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior, *,
+                  sigma=None) -> float:
+    """Sum of R over active parameters; ``sigma`` is softplus(vp.rho), if
+    the caller already has it."""
+    if sigma is None:
+        sigma = vp.sigma
     if vp.active is None:
-        return float(penalty_R(vp.m, vp.sigma, vp.p, prior).sum())
+        return float(penalty_R(vp.m, sigma, vp.p, prior).sum())
     act = vp.active
     if not act.any():
         return 0.0
-    return float(penalty_R(vp.m[act], vp.sigma[act], vp.p[act], prior).sum())
+    return float(penalty_R(vp.m[act], sigma[act], vp.p[act], prior).sum())
 
 
 def _resolve_draws(n_params, mc_samples, noise, seed):

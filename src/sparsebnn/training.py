@@ -12,8 +12,9 @@ over from the last p refresh; per draw one ``NoiseDraw.draw``, one
 forward trace dies with it) and one ``svi.penalty_total`` for the logged
 objective, the three calls per draw that the benchmark's tracer counts;
 the optimizer step on the one buffer ``[m | rho]`` that ``vp.m`` and
-``vp.rho`` view; then sigma and p refreshed.  Only masked runs apply the
-keep mask.  A fixed seed gives bit-identical results, pinned by
+``vp.rho`` view; then sigma and p refreshed.  Sigma is computed once per
+step: the draws, the penalty and the epoch's mean-weight loss reuse it
+or need none.  Only masked runs apply the keep mask.  A fixed seed gives bit-identical results, pinned by
 ``tests/test_golden.py``.
 """
 
@@ -162,8 +163,13 @@ def init_params(
     return vp
 
 
+def _mean_weights(vp: VariationalParams) -> np.ndarray:
+    """The weights at the posterior mean, W = m; pruned entries are 0."""
+    return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
+
+
 def _train_loss(topology, vp, x, y, noise_variance):
-    outputs, _ = forward(topology, sample_weights(vp, np.zeros(len(vp))), x)
+    outputs, _ = forward(topology, _mean_weights(vp), x)
     if topology.output_head == "identity":
         t = np.asarray(y, dtype=float)
         if t.ndim == 1 and outputs.shape[1] == 1:
@@ -244,7 +250,7 @@ def train(
                 )
                 grad[:size] += gm
                 grad[size:] += gr
-                obj += data_nll + kl * penalty_total(vp, prior)
+                obj += data_nll + kl * penalty_total(vp, prior, sigma=sigma)
             grad /= config.mc_samples
             obj /= config.mc_samples
             if not math.isfinite(obj):
@@ -284,8 +290,7 @@ def predict(
     averages the forward outputs of ``samples`` pathwise draws.
     """
     if mode == "mean":
-        w = sample_weights(vp, np.zeros(len(vp)))
-        out, _ = forward(topology, w, x)
+        out, _ = forward(topology, _mean_weights(vp), x)
         return out
     if mode == "mc":
         if samples < 1:

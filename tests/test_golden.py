@@ -6,8 +6,10 @@ the arithmetic keeps every hash; one that reorders floating-point work
 changes them and must say so.  Beside each hash, the final objective,
 ``sum(p)`` and ``m[:3]`` are pinned as values at a relative tolerance of
 1e-12, so a change that moves bits shows how far the numbers moved.  The
-pins were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64
-(OpenBLAS); another numpy, BLAS or CPU may round differently.
+pins were recorded with numpy 2.4.6 on x86-64 (OpenBLAS, AVX-512); another
+numpy, BLAS or CPU may round differently.  In particular the hashes depend
+on the SIMD ``exp``/``log``/``log1p`` kernels numpy dispatches to on the
+CPU at hand, since softplus, the logistic and x*log x are built from them.
 """
 
 import hashlib
@@ -92,17 +94,17 @@ RUNS = {
 
 GOLDEN = {
     "adam_uniform_relu": {
-        "params": "7e6fb2d12cfeb8422e1ee6ffd6e8d47d90e7bd313eb620c0f523429298df133d",
+        "params": "a2bb34b509d4d3c52e7ca25c3c930e3c5ab491436d3bace014510bcf25d79a36",
         "objective": "c92e323ce31bd640d0a6c5ab8000666fb4798a7c4bbbd37e852edc18a44ae7c5",
         "train_loss": "127dbc0dd00d413f30920d3de191bf18101f92f62e9f1775e889e58557579b48",
     },
     "sgd_blundell_tanh_3draws": {
-        "params": "fcbf21322c3787e792261807059d443f53183e1fd5357c89939e77db8ba2e404",
+        "params": "15965d52a11a7dfb829b70e571da48b8516b20ca74e1215fb433fa223fff0b18",
         "objective": "d3e5ecfa89e77da27346e8de6cb85ff91e8c7d589272d38bbb72a16a27e99621",
         "train_loss": "85c571fd7f2feba82d1e281d5fba41d8b692bde20498345811a10629c1cde0f3",
     },
     "pruned_init": {
-        "params": "b3cc51d836da9b03ca5125887b51b836f6d8bde12ecb112c4e16ea2ce1c43dc4",
+        "params": "a1272dbdb8fa435fb44c677b141fa5fe362a4c4c443b8f3fa23049dec8f21f9c",
         "objective": "1a9a844657c75a88a07c9adc7cb159ea82f176275b4e121ad936c7ad8faf576d",
         "train_loss": "3f024631373e2ae170bf38662a0d146ec50f2b61ec8ae5bdf5479aa08a697c96",
     },

@@ -1,10 +1,9 @@
 """scipy stays off the import path until a computation needs it.
 
-Importing the package and running the commands that only read a trained
-state (``prune``, ``importance``) must load no ``scipy`` module; training
-loads ``scipy.special`` and the gradient check ``scipy.integrate`` at
-their first call.  Each check runs in a fresh interpreter, because this
-test process has loaded scipy long before.
+Importing the package and running ``train``, ``prune``, ``importance``
+and ``select`` must load no ``scipy`` module; only the gradient check
+loads ``scipy.integrate``, at its first call.  Each check runs in a fresh
+interpreter, because this test process has loaded scipy long before.
 """
 
 import json
@@ -67,8 +66,18 @@ def test_read_only_commands_load_no_scipy(command, checkpoint, tmp_path):
     assert out.exists()
 
 
-def test_training_loads_only_scipy_special(tmp_path):
+def test_training_and_selection_load_no_scipy(checkpoint, tmp_path):
     loaded = _fresh(RUN_CLI, "train", "--data", "sparse:n=60,d=3,seed=0",
                     "--epochs", "1", "--hidden", "2", "--out", str(tmp_path))
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    assert loaded == []
+    assert (tmp_path / "model.ckpt").exists()
+    out = tmp_path / "select.json"
+    loaded = _fresh(RUN_CLI, "select", "--checkpoint", str(checkpoint),
+                    "--quantile", "0.6", "--out", str(out))
+    assert loaded == []
+    assert out.exists()
+
+
+def test_no_module_imports_scipy_special():
+    sources = Path(sparsebnn.__file__).parent.glob("*.py")
+    assert not [f.name for f in sources if "scipy.special" in f.read_text()]

@@ -1,11 +1,12 @@
 """Penalty, closed-form inclusion update, and pathwise gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logit
+from scipy.special import expit, logit, xlogy
 
 from helpers import assert_grad_close, moderate_prior
 from sparsebnn import (
@@ -23,7 +24,7 @@ from sparsebnn import (
     step_gradients,
 )
 from sparsebnn.network import forward, nll
-from sparsebnn.svi import dsigma_drho
+from sparsebnn.svi import _expit, _xlogx, dsigma_drho
 
 
 class TestPrior:
@@ -64,6 +65,62 @@ class TestNoiseDraw:
         assert np.array_equal(a.eps, b.eps)
         c = NoiseDraw.draw(16, seed=5, index=4)
         assert not np.array_equal(a.eps, c.eps)
+
+    def test_stream_is_default_rng_of_seed_and_index(self):
+        words = (0, 5, 8, 99999, 123456, 2**32 - 1)
+        pairs = [(s, i) for s in words for i in words] + [(2**32, 3), (2**40 + 7, 0)]
+        for seed, index in pairs:
+            want = np.random.default_rng([seed, index]).standard_normal(8)
+            assert np.array_equal(NoiseDraw.draw(8, seed, index).eps, want)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseDraw.draw(4, seed=-1)
+
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing at ``want``."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+class TestNumpyKernels:
+    """The logistic, x*log x and softplus built from numpy's exp/log/log1p
+    against scipy.special and np.logaddexp."""
+
+    X = np.concatenate([
+        np.linspace(-745.0, 745.0, 100_001),
+        np.random.default_rng(0).uniform(-40.0, 40.0, 50_000),
+    ])
+    P = np.concatenate([
+        np.logspace(-300.0, 0.0, 50_001),
+        np.random.default_rng(1).uniform(0.0, 1.0, 50_000),
+    ])
+    SPECIAL = np.array([np.inf, -np.inf, 1000.0, -1000.0, 0.0, np.nan])
+
+    def test_within_8_ulp_of_the_reference(self):
+        assert _ulps(_expit(self.X), expit(self.X)).max() <= 8
+        assert _ulps(sigma_of_rho(self.X), np.logaddexp(0.0, self.X)).max() <= 8
+        assert _ulps(_xlogx(self.P), xlogy(self.P, self.P)).max() <= 8
+
+    def test_exact_at_infinities_zero_and_nan(self):
+        x = self.SPECIAL
+        np.testing.assert_array_equal(_expit(x), expit(x))
+        with np.errstate(invalid="ignore"):  # logaddexp(0, inf) warns
+            softplus = np.logaddexp(0.0, x)
+        np.testing.assert_array_equal(sigma_of_rho(x), softplus)
+        p = np.array([0.0, 1.0, np.nan])
+        np.testing.assert_array_equal(_xlogx(p), xlogy(p, p))
+        assert _xlogx(0.0) == 0.0 and _expit(0.0) == 0.5
+
+    def test_no_warning_anywhere(self):
+        x = np.concatenate([self.X, self.SPECIAL])
+        p = np.concatenate([self.P, [0.0, 1.0, np.nan]])
+        prior = SpikeSlabPrior(pi=0.5, tau1=1.0, tau0=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _expit(x), sigma_of_rho(x), dsigma_drho(x), _xlogx(p)
+            optimal_p(x, sigma_of_rho(x), prior)
+            penalty_R(np.zeros_like(p), np.ones_like(p), p, prior)
 
 
 class TestSampleWeights:
