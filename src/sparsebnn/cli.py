@@ -11,7 +11,11 @@ underscores.  ``train`` leaves three artifacts in the output directory:
 
 The other subcommands locate ``run.json`` next to a checkpoint to rebuild
 the exact dataset, split, and standardization of the original run, so a
-saved configuration re-executes to identical outputs.
+saved configuration re-executes to identical outputs.  ``benchmark``
+repeat r uses seed ``seed + r`` and split seed ``split_seed + r``.
+
+The command line is regression-only: identity-head networks scored by
+test RMSE.  A checkpoint with the library's softmax head exits 2.
 
 Exit codes: 0 success, 2 any bad file, path or option value (``main`` maps
 every OSError and ValueError to it), 3 numerical abort.
@@ -29,6 +33,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compression import (
+    RANK_RULES,
     cv_threshold,
     feature_importance_phi,
     feature_importance_psi,
@@ -53,18 +58,12 @@ from .training import NumericalAbort, TrainConfig, predict, train
 
 SCHEMA_VERSION = 1
 
-RULE_ALIASES = {
-    "p": "inclusion_p",
-    "m2": "second_moment",
-    "snr": "snr",
-    "inclusion_p": "inclusion_p",
-    "second_moment": "second_moment",
-}
+RULE_ALIASES = {"p": "inclusion_p", "m2": "second_moment",
+                **{rule: rule for rule in RANK_RULES}}
 
 DEFAULTS = {
     "hidden": "20,10",
     "activation": "relu",
-    "head": "identity",
     "epochs": 100,
     "batch": 128,
     "lr": 0.01,
@@ -205,12 +204,8 @@ def _prior_from(opts) -> SpikeSlabPrior:
 
 def _topology_from(opts, n_features) -> NetworkTopology:
     hidden = tuple(int(h) for h in str(opts["hidden"]).split(",") if h.strip())
-    return NetworkTopology(
-        (n_features, *hidden, 1 if opts["head"] == "identity" else
-         int(opts.get("n_classes", 2))),
-        hidden_activation=opts["activation"],
-        output_head=opts["head"],
-    )
+    return NetworkTopology((n_features, *hidden, 1),
+                           hidden_activation=opts["activation"])
 
 
 def _train_config_from(opts) -> TrainConfig:
@@ -226,29 +221,22 @@ def _train_config_from(opts) -> TrainConfig:
     )
 
 
-def _prepare_run(opts, data_spec):
-    """Dataset -> split -> (optional) standardization, as one bundle."""
-    full = build_dataset(data_spec)
-    train_ds, test_ds = split(
-        full, opts["train_frac"], seed=opts["split_seed"]
-    )
-    scaler = None
-    if opts["standardize"]:
-        train_ds, test_ds, scaler = standardize_fit_apply(train_ds, test_ds)
-    return full, train_ds, test_ds, scaler
+def _split(full, opts, repeat=0):
+    """Split with seed ``split_seed + repeat``; standardize if opts say so."""
+    train_ds, test_ds = split(full, opts["train_frac"],
+                              seed=opts["split_seed"] + repeat)
+    if not opts["standardize"]:
+        return train_ds, test_ds, None
+    return standardize_fit_apply(train_ds, test_ds)
 
 
-def _test_metric(topology, vp, test_ds, scaler):
-    """(column_name, value): RMSE in original units, or error rate."""
-    outputs = predict(topology, vp, test_ds.X)
-    if topology.output_head == "identity":
-        pred = outputs[:, 0]
-        truth = np.asarray(test_ds.y, dtype=float)
-        if scaler is not None:
-            pred = scaler.inverse_y(pred)
-            truth = scaler.inverse_y(truth)
-        return "test_rmse", float(np.sqrt(np.mean((pred - truth) ** 2)))
-    return "test_error", float(np.mean(outputs.argmax(axis=1) != test_ds.y))
+def _test_rmse(topology, vp, test_ds, scaler) -> float:
+    """Test RMSE in the target's original units."""
+    pred = predict(topology, vp, test_ds.X)[:, 0]
+    truth = np.asarray(test_ds.y, dtype=float)
+    if scaler is not None:
+        pred, truth = scaler.inverse_y(pred), scaler.inverse_y(truth)
+    return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
 def cmd_train(args) -> int:
@@ -257,7 +245,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train requires --data")
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, train_ds, _, _ = _prepare_run(opts, args.data)
+    train_ds, _, _ = _split(build_dataset(args.data), opts)
     topology = _topology_from(opts, train_ds.n_features)
     prior = _prior_from(opts)
     config = _train_config_from(opts)
@@ -294,11 +282,20 @@ def _load_run(checkpoint_path):
     return {**run, **{k: _coerce(k, v, run_path) for k, v in options.items()}}
 
 
+def _load_model(path):
+    """A checkpoint's (topology, prior, params); the CLI is regression-only."""
+    topology, prior, vp = load_checkpoint(path)
+    if topology.output_head != "identity":
+        raise ConfigError(f"{path}: has a {topology.output_head} head; the "
+                          "command line takes identity-head models only")
+    return topology, prior, vp
+
+
 def _reload(args):
-    topology, prior, vp = load_checkpoint(args.checkpoint)
+    topology, prior, vp = _load_model(args.checkpoint)
     run = _load_run(args.checkpoint)
     data_spec = args.data or run["data"]
-    _, train_ds, test_ds, scaler = _prepare_run(run, data_spec)
+    train_ds, test_ds, scaler = _split(build_dataset(data_spec), run)
     if train_ds.n_features != topology.n_inputs:
         raise ConfigError(f"data {data_spec!r} has {train_ds.n_features} "
                           f"features; {args.checkpoint} takes "
@@ -325,33 +322,42 @@ def _parse_droprates(text) -> list[float]:
     return sorted(rates)
 
 
-def cmd_prune(args) -> int:
-    rule = RULE_ALIASES.get(args.rule)
-    if rule is None:
+def _rule(name) -> str:
+    """The pruning rule a command-line rule name or alias stands for."""
+    if name not in RULE_ALIASES:
         raise ConfigError(
-            f"unknown rule {args.rule!r}; choose from {sorted(RULE_ALIASES)}"
+            f"unknown rule {name!r}; choose from {sorted(RULE_ALIASES)}"
         )
-    topology, _, vp, _, _, test_ds, scaler = _reload(args)
-    rates = _parse_droprates(args.droprates)
-    out_path = Path(args.out or Path(args.checkpoint).parent / "prune.csv")
+    return RULE_ALIASES[name]
+
+
+def _sweep(topology, vp, rule, rates, test_ds, scaler):
+    """One (droprate, sparsity, test RMSE) row per rate, pruning ``vp``."""
     rows = []
     for rate in rates:
         mask, pruned = prune(vp, rule, rate)
-        col, value = _test_metric(topology, pruned, test_ds, scaler)
-        rows.append({"droprate": rate, "sparsity": sparsity(mask), col: value})
-    metric_col = [c for c in rows[0] if c.startswith("test_")][0]
+        rows.append((rate, sparsity(mask),
+                     _test_rmse(topology, pruned, test_ds, scaler)))
+    return rows
+
+
+def cmd_prune(args) -> int:
+    rule = _rule(args.rule)
+    topology, _, vp, _, _, test_ds, scaler = _reload(args)
+    rates = _parse_droprates(args.droprates)
+    out_path = Path(args.out or Path(args.checkpoint).parent / "prune.csv")
+    rows = _sweep(topology, vp, rule, rates, test_ds, scaler)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["droprate", "sparsity", metric_col, "schema_version"])
-        for row in rows:
-            writer.writerow([row["droprate"], row["sparsity"],
-                             row[metric_col], SCHEMA_VERSION])
+        writer.writerow(["droprate", "sparsity", "test_rmse",
+                         "schema_version"])
+        writer.writerows([*row, SCHEMA_VERSION] for row in rows)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_importance(args) -> int:
-    topology, _, vp = load_checkpoint(args.checkpoint)
+    topology, _, vp = _load_model(args.checkpoint)
     psi = feature_importance_psi(topology, vp)
     phi = feature_importance_phi(psi)
     out_path = Path(args.out or Path(args.checkpoint).parent / "importance.csv")
@@ -387,18 +393,18 @@ def cmd_select(args) -> int:
     outcome = variable_selection(
         topology, vp, train_ds, quantile, retrain, prior
     )
-    _, unrestricted_mse = _test_metric(topology, vp, test_ds, scaler)
-    masked_test = test_ds.with_feature_mask(outcome.selected)
-    _, refit_mse = _test_metric(topology, outcome.refit.params,
-                                masked_test, scaler)
+    unrestricted_rmse = _test_rmse(topology, vp, test_ds, scaler)
+    refit_rmse = _test_rmse(topology, outcome.refit.params,
+                            test_ds.with_feature_mask(outcome.selected),
+                            scaler)
     report.update({
         "quantile": quantile,
         "threshold_phi": outcome.threshold,
         "n_selected": int(outcome.selected.sum()),
         "estimated_active_proportion": outcome.estimated_active_proportion,
         "selected": [int(v) for v in outcome.selected],
-        "refit_test_rmse": refit_mse,
-        "unrestricted_test_rmse": unrestricted_mse,
+        "refit_test_rmse": refit_rmse,
+        "unrestricted_test_rmse": unrestricted_rmse,
     })
     if outcome.accuracy is not None:
         report["selection_accuracy"] = outcome.accuracy
@@ -415,9 +421,7 @@ def cmd_benchmark(args) -> int:
     opts = resolve_options(args, DEFAULTS.keys())
     entries = load_manifest(args.manifest)
     rates = _parse_droprates(args.droprates)
-    rule = RULE_ALIASES.get(args.rule)
-    if rule is None:
-        raise ConfigError(f"unknown rule {args.rule!r}")
+    rule = _rule(args.rule)
     repeats = int(args.repeats)
     if repeats < 1:
         raise ConfigError("--repeats must be >= 1")
@@ -428,26 +432,20 @@ def cmd_benchmark(args) -> int:
                         expected_shape=entry["expected_shape"],
                         name=entry["name"])
         topology = _topology_from(opts, full.n_features)
-        per_rate = {rate: [] for rate in rates}
+        sweeps = []
         for r in range(repeats):
-            seed = opts["seed"] + r
-            train_ds, test_ds = split(full, opts["train_frac"], seed=seed)
-            train_std, test_std, scaler = standardize_fit_apply(
-                train_ds, test_ds
-            )
-            config = _train_config_from({**opts, "seed": seed})
-            report = train(topology, prior, train_std, config)
-            for rate in rates:
-                mask, pruned = prune(report.params, rule, rate)
-                _, rmse = _test_metric(topology, pruned, test_std, scaler)
-                per_rate[rate].append((rmse, sparsity(mask)))
-        for rate in rates:
-            vals = np.array([v for v, _ in per_rate[rate]])
+            train_ds, test_ds, scaler = _split(full, opts, r)
+            config = _train_config_from({**opts, "seed": opts["seed"] + r})
+            report = train(topology, prior, train_ds, config)
+            sweeps.append(_sweep(topology, report.params, rule, rates,
+                                 test_ds, scaler))
+        for i, (rate, sparse, _) in enumerate(sweeps[0]):
+            vals = np.array([sweep[i][2] for sweep in sweeps])
             se = (vals.std(ddof=1) / np.sqrt(repeats)) if repeats > 1 else 0.0
             rows.append({
                 "dataset": entry["name"],
                 "droprate": rate,
-                "sparsity": per_rate[rate][0][1],
+                "sparsity": sparse,
                 "rmse_mean": float(vals.mean()),
                 "rmse_se": float(se),
                 "repeats": repeats,
@@ -509,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("uniform", "blundell"))
         p.add_argument("--hidden", help="comma-separated hidden sizes")
         p.add_argument("--activation", choices=("relu", "tanh", "identity"))
-        p.add_argument("--head", choices=("identity", "softmax"))
         p.add_argument("--noise-variance", dest="noise_variance", type=float)
         p.add_argument("--train-frac", dest="train_frac", type=float)
         p.add_argument("--split-seed", dest="split_seed", type=int)

@@ -16,7 +16,6 @@ over paths; the scaled variant min-max rescales those scores to [0, 1].
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -163,16 +162,6 @@ class ImportanceReport:
     threshold: float
     selected: np.ndarray
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature_index", "psi", "phi", "selected"])
-            for j in range(self.psi.size):
-                writer.writerow(
-                    [j, repr(float(self.psi[j])), repr(float(self.phi[j])),
-                     int(self.selected[j])]
-                )
-
 
 def importance_report(topology, vp, keep_quantile: float) -> ImportanceReport:
     """Score features and mark those at or above the quantile threshold.
@@ -292,25 +281,16 @@ def cv_threshold(
         fold_config = replace(train_config,
                               seed=train_config.seed + 1000 * (k + 1))
         full = train(topology, prior, fold_train, fold_config)
-        psi = feature_importance_psi(topology, full.params)
-        phi = feature_importance_phi(psi)
         # one refit seed per fold, shared across candidates: errors are
         # compared within a fold, so common noise cancels
         refit_config = replace(fold_config, seed=fold_config.seed + 17)
         for g, proportion in enumerate(grid):
-            if proportion >= 1.0:
-                selected = np.ones(dataset.n_features, dtype=bool)
-            else:
-                thr = float(np.quantile(phi, 1.0 - proportion))
-                selected = phi >= thr
-                if not selected.any():
-                    selected[int(np.argmax(phi))] = True
-            refit = train(
-                topology, prior, fold_train.with_feature_mask(selected),
-                refit_config,
-            )
+            # proportion 1.0 is quantile 0, which keeps every feature
+            outcome = variable_selection(topology, full.params, fold_train,
+                                         1.0 - proportion, refit_config, prior)
             pred = predict(
-                topology, refit.params, fold_val.X * selected[None, :]
+                topology, outcome.refit.params,
+                fold_val.with_feature_mask(outcome.selected).X,
             )[:, 0]
             fold_err[k, g] = float(np.mean((pred - fold_val.y) ** 2))
     mean_err = fold_err.mean(axis=0)

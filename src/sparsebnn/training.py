@@ -14,8 +14,8 @@ objective, the three calls per draw that the benchmark's tracer counts;
 the optimizer step on the one buffer ``[m | rho]`` that ``vp.m`` and
 ``vp.rho`` view; then sigma and p refreshed.  Sigma is computed once per
 step: the draws, the penalty and the epoch's mean-weight loss reuse it
-or need none.  Only masked runs apply the keep mask.  A fixed seed gives bit-identical results, pinned by
-``tests/test_golden.py``.
+or need none.  Only masked runs apply the keep mask.  A fixed seed gives
+bit-identical results, pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _mean_weights(vp: VariationalParams) -> np.ndarray:
     return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
 
 
-def _train_loss(topology, vp, x, y, noise_variance):
+def _train_loss(topology, vp, x, y):
     outputs, _ = forward(topology, _mean_weights(vp), x)
     if topology.output_head == "identity":
         t = np.asarray(y, dtype=float)
@@ -265,9 +265,7 @@ def train(
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj
-        train_loss[epoch] = _train_loss(
-            topology, vp, x_all, y_all, config.noise_variance
-        )
+        train_loss[epoch] = _train_loss(topology, vp, x_all, y_all)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
         objective=objective, train_loss=train_loss, wall_ms=wall_ms,

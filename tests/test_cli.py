@@ -8,7 +8,20 @@ import numpy as np
 import pytest
 
 from helpers import reframe
-from sparsebnn import load_checkpoint, predict, split, standardize_fit_apply
+from sparsebnn import (
+    NetworkTopology,
+    SpikeSlabPrior,
+    TrainConfig,
+    VariationalParams,
+    load_checkpoint,
+    load_csv,
+    predict,
+    prune,
+    save_checkpoint,
+    split,
+    standardize_fit_apply,
+    train,
+)
 from sparsebnn.cli import build_dataset, main
 
 FAST = [
@@ -183,11 +196,6 @@ class TestImportanceCommand:
     def test_uniform_p_model_reports_flat_phi(self, tmp_path):
         # an untouched state has constant rho and near-constant p, so phi
         # degenerates; the CSV must still be written (with a warning)
-        from sparsebnn import (
-            NetworkTopology, SpikeSlabPrior, VariationalParams,
-            save_checkpoint,
-        )
-
         topo = NetworkTopology((5, 3, 1))
         vp = VariationalParams(
             np.zeros(topo.n_params), np.zeros(topo.n_params),
@@ -290,6 +298,41 @@ class TestBenchmarkCommand:
         assert all("seed" in r for r in rows)
         assert all(float(r["rmse_se"]) >= 0.0 for r in rows)
 
+    @pytest.mark.parametrize("extra, conf, split_seed, standardize", [
+        (["--split-seed", "5"], "", 5, True),
+        ([], "standardize = false\n", 0, False),
+    ], ids=["split-seed-5", "standardize-false"])
+    def test_one_repeat_row_matches_library_calls(
+            self, tmp_path, extra, conf, split_seed, standardize):
+        mpath = _write_benchmark_fixtures(tmp_path)
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["benchmark", "--manifest", str(mpath), "--repeats", "1",
+             "--epochs", "4", "--batch", "64", "--hidden", "4",
+             "--droprates", "50", "--config", _write(tmp_path / "b.conf", conf),
+             "--out", str(out), *extra]
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["dataset"] == "alpha"
+
+        tr, te = split(load_csv(tmp_path / "alpha.csv", "target"), 0.9,
+                       seed=split_seed)
+        if standardize:
+            tr, te, scaler = standardize_fit_apply(tr, te)
+        topo = NetworkTopology((3, 4, 1))
+        prior = SpikeSlabPrior(0.5, 1.0, float(np.exp(-2.302585092994046)))
+        report = train(topo, prior, tr,
+                       TrainConfig(epochs=4, batch_size=64, seed=0))
+        _, pruned = prune(report.params, "inclusion_p", 0.5)
+        pred = predict(topo, pruned, te.X)[:, 0]
+        truth = te.y
+        if standardize:
+            pred, truth = scaler.inverse_y(pred), scaler.inverse_y(truth)
+        rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
+        assert float(row["rmse_mean"]) == rmse
+
     def test_manifest_shape_mismatch_exits_2(self, tmp_path, capsys):
         mpath = _write_benchmark_fixtures(tmp_path)
         doc = json.loads(mpath.read_text())
@@ -390,6 +433,15 @@ def _write(path, text):
     return str(path)
 
 
+def _softmax_checkpoint(copy):
+    """Replace the run's checkpoint by a library softmax-head model."""
+    topo = NetworkTopology((5, 4, 2), output_head="softmax")
+    M = topo.n_params
+    vp = VariationalParams(np.zeros(M), np.zeros(M), np.full(M, 0.5))
+    save_checkpoint(copy / "model.ckpt", topo, SpikeSlabPrior(0.5, 1.0, 0.1),
+                    vp)
+
+
 # each case: (run, tmp) -> argv, plus the text stderr must name
 BAD_INPUTS = [
     pytest.param(lambda run, tmp: [
@@ -422,8 +474,15 @@ BAD_INPUTS = [
         "gradcheck", "--settings", "a,b,c,d,e", "--out", str(tmp / "g.csv")],
         "'a'", id="gradcheck-settings-a"),
     pytest.param(lambda run, tmp: [
-        "train", "--data", BAD_DATA, "--head", "softmax", "--epochs", "1",
-        "--out", str(tmp / "x")], "softmax", id="train-head-softmax"),
+        "train", "--data", BAD_DATA, "--epochs", "1", "--out", str(tmp / "x"),
+        "--config", _write(tmp / "head.conf", "head = softmax\n")],
+        "unknown config key 'head'", id="train-head-softmax"),
+    pytest.param(lambda run, tmp: _damaged_run(run, tmp, _softmax_checkpoint),
+        "model.ckpt: has a softmax head", id="prune-softmax-checkpoint"),
+    pytest.param(lambda run, tmp: [
+        "importance", "--checkpoint", _damaged_run(
+            run, tmp, _softmax_checkpoint)[-1]],
+        "model.ckpt: has a softmax head", id="importance-softmax-checkpoint"),
     pytest.param(lambda run, tmp: _damaged_run(
         run, tmp, lambda copy: (copy / "run.json").write_text("{not json")),
         "run.json", id="run-json-malformed"),
@@ -456,3 +515,17 @@ def test_bad_file_path_or_option_exits_2(bad_input_run, tmp_path, capsys,
     assert code == 2
     assert err.startswith("config error:")
     assert named in err
+
+
+def test_head_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", BAD_DATA, "--head", "identity",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+def test_run_json_with_head_key_still_loads(bad_input_run, tmp_path):
+    argv = _damaged_run(bad_input_run, tmp_path, _edit_run_json(
+        lambda doc: doc.update(head="identity")))
+    assert main(argv) == 0
+    assert (tmp_path / "damaged" / "prune.csv").exists()

@@ -277,20 +277,6 @@ class TestVariableSelection:
         assert report.selected.all()
         assert report.threshold == 0.0
 
-    def test_report_csv_columns(self, tmp_path):
-        topo = NetworkTopology((4, 2, 1))
-        rng = np.random.default_rng(24)
-        vp = _state(
-            np.zeros(topo.n_params), np.zeros(topo.n_params),
-            rng.random(topo.n_params),
-        )
-        report = importance_report(topo, vp, keep_quantile=0.5)
-        path = tmp_path / "importance.csv"
-        report.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "feature_index,psi,phi,selected"
-        assert len(lines) == 5
-
     def test_select_then_refit_returns_accuracy_and_report(self):
         spec = SyntheticSpec(n=400, n_features=12, alpha=2.0, pi_active=0.3,
                              link="linear", seed=8)

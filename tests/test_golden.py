@@ -17,11 +17,13 @@ import hashlib
 import numpy as np
 import pytest
 
+import sparsebnn.compression
 from sparsebnn import (
     NetworkTopology,
     SpikeSlabPrior,
     SyntheticSpec,
     TrainConfig,
+    cv_threshold,
     gen_sparse_regression,
     init_params,
     prune,
@@ -145,3 +147,48 @@ def test_fixed_seed_run_matches_golden_hashes(name):
     np.testing.assert_allclose(np.sum(report.params.p), sum_p, **close)
     np.testing.assert_allclose(report.params.m[:3], m3, **close)
     assert digests(report) == GOLDEN[name]
+
+
+
+# every train and predict call inside one small cv_threshold, in order:
+# (SHA-256 of their inputs and outputs, calls made, chosen proportion)
+CV_GOLDEN = (
+    "bf10b3c2a8953f2f69ef57e2abc4c0e903392eb98171ed351dbd1e53863ef557", 27, 0.1,
+)
+
+
+def test_cv_threshold_matches_golden_call_stream(monkeypatch):
+    h = hashlib.sha256()
+    calls = []
+    real_train = sparsebnn.compression.train
+    real_predict = sparsebnn.compression.predict
+
+    def put(name, *arrays):
+        calls.append(name)
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+    def spy_train(topology, prior, dataset, config, **kwargs):
+        report = real_train(topology, prior, dataset, config, **kwargs)
+        vp = report.params
+        put("train", dataset.X, dataset.y, vp.m, vp.rho, vp.p,
+            report.objective)
+        return report
+
+    def spy_predict(topology, vp, X):
+        out = real_predict(topology, vp, X)
+        put("predict", X, out)
+        return out
+
+    monkeypatch.setattr(sparsebnn.compression, "train", spy_train)
+    monkeypatch.setattr(sparsebnn.compression, "predict", spy_predict)
+    spec = SyntheticSpec(n=300, n_features=12, alpha=2.0, pi_active=0.3,
+                         link="linear", seed=11)
+    ds, _, _ = standardize_fit_apply(gen_sparse_regression(spec))
+    proportion = cv_threshold(
+        NetworkTopology((12, 8, 4, 1)), PRIOR, ds,
+        TrainConfig(epochs=8, batch_size=64, seed=2),
+        folds=3, candidate_proportions=(0.1, 0.25, 0.5, 1.0), seed=7,
+    )
+    assert calls.count("train") == 3 * (1 + 4)
+    assert (h.hexdigest(), len(calls), proportion) == CV_GOLDEN
