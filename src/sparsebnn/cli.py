@@ -60,6 +60,8 @@ SCHEMA_VERSION = 1
 
 RULE_ALIASES = {"p": "inclusion_p", "m2": "second_moment",
                 **{rule: rule for rule in RANK_RULES}}
+DEFAULT_RULE = "p"
+DEFAULT_DROPRATES = "0,10,20,25,50,75,80,90,95"
 
 DEFAULTS = {
     "hidden": "20,10",
@@ -178,7 +180,7 @@ def resolve_options(args, keys) -> dict:
     if config_path:
         file_conf = _read_config_file(config_path)
         for k, v in file_conf.items():
-            if k in ("data", "out", "rule", "droprates", "quantile"):
+            if k in ("data", "out", "rule", "droprates"):
                 if getattr(args, k, None) is None:
                     setattr(args, k, v)
                 continue
@@ -420,8 +422,10 @@ def cmd_select(args) -> int:
 def cmd_benchmark(args) -> int:
     opts = resolve_options(args, DEFAULTS.keys())
     entries = load_manifest(args.manifest)
-    rates = _parse_droprates(args.droprates)
-    rule = _rule(args.rule)
+    # None unless the command line or the config file names them
+    rates = _parse_droprates(
+        DEFAULT_DROPRATES if args.droprates is None else args.droprates)
+    rule = _rule(DEFAULT_RULE if args.rule is None else args.rule)
     repeats = int(args.repeats)
     if repeats < 1:
         raise ConfigError("--repeats must be >= 1")
@@ -519,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prune = sub.add_parser("prune", help="droprate-vs-error sweep")
     p_prune.add_argument("--checkpoint", required=True)
-    p_prune.add_argument("--rule", default="p")
-    p_prune.add_argument("--droprates", default="0,10,20,25,50,75,80,90,95")
+    p_prune.add_argument("--rule", default=DEFAULT_RULE)
+    p_prune.add_argument("--droprates", default=DEFAULT_DROPRATES)
     p_prune.add_argument("--data")
     p_prune.add_argument("--out")
     p_prune.set_defaults(func=cmd_prune)
@@ -544,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="manifest-driven RMSE table")
     add_common(p_bench)
     p_bench.add_argument("--manifest", required=True)
-    p_bench.add_argument("--rule", default="p")
-    p_bench.add_argument("--droprates", default="0,10,20,25,50,75,80,90,95")
+    p_bench.add_argument("--rule")
+    p_bench.add_argument("--droprates")
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.set_defaults(func=cmd_benchmark)
 

@@ -137,11 +137,21 @@ def _check_params(topology, w) -> np.ndarray:
     return w
 
 
-def _activate(name, z):
+def _check_inputs(topology, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != topology.n_inputs:
+        raise ShapeMismatch(
+            "input batch", (x.shape[0] if x.ndim else 0, topology.n_inputs),
+            x.shape,
+        )
+    return x
+
+
+def _activate(name, z, out=None):
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -162,7 +172,7 @@ class ForwardTrace:
     x: np.ndarray
     pre: list = field(default_factory=list)       # z_1 .. z_{L+1}
     hidden: list = field(default_factory=list)    # a_0=x, a_1 .. a_L
-    params: np.ndarray = None                     # copy of the flat vector
+    params: np.ndarray = None                     # the flat vector used
 
     @property
     def outputs(self) -> np.ndarray:
@@ -177,6 +187,9 @@ class ForwardTrace:
 def forward(topology: NetworkTopology, w, x):
     """Evaluate the network on a batch.
 
+    Checks the shapes of ``w`` and ``x``, then runs :func:`_forward` on a
+    copy of ``w``, so :func:`backward` can tell when ``w`` changed since.
+
     Parameters
     ----------
     w : flat parameter vector in canonical order, length ``n_params``.
@@ -188,24 +201,31 @@ def forward(topology: NetworkTopology, w, x):
         and a :class:`ForwardTrace` sufficient for :func:`backward`.
     """
     w = _check_params(topology, w)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != topology.n_inputs:
-        raise ShapeMismatch(
-            "input batch", (x.shape[0] if x.ndim else 0, topology.n_inputs),
-            x.shape,
-        )
-    trace = ForwardTrace(topology=topology, x=x, params=w.copy())
+    return _forward(topology, w.copy(), _check_inputs(topology, x))
+
+
+def _forward(topology, w, x, out=None):
+    """The one forward loop, on inputs the caller has checked.
+
+    Without ``out`` it returns (outputs, trace), and the trace holds ``w``
+    itself.  ``out`` is one (n, width) buffer per affine layer: each layer
+    is written into its buffer and activated in place, no trace is kept,
+    and the outputs are the last buffer.  Both ways compute the same bits.
+    """
+    trace = None if out is not None else ForwardTrace(topology, x, params=w)
     a = x
-    trace.hidden.append(a)
-    n_layers = topology.n_affine_layers
-    for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology), start=1):
-        z = a @ w[w_sl].reshape(shape)
+    last = topology.n_affine_layers - 1
+    for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology)):
+        z = np.matmul(a, w[w_sl].reshape(shape),
+                      out=None if out is None else out[l])
         z += w[b_sl]
-        trace.pre.append(z)
-        if l < n_layers:
-            a = _activate(topology.hidden_activation, z)
+        if trace is not None:
             trace.hidden.append(a)
-    return trace.pre[-1], trace
+            trace.pre.append(z)
+        if l < last:
+            a = _activate(topology.hidden_activation, z,
+                          out=None if out is None else z)
+    return z, trace
 
 
 def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
@@ -213,12 +233,14 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
 
     ``loss_grad_at_outputs`` is d(loss)/d(outputs) for the batch the trace
     was built on; the return value is the flat gradient vector [n_params].
+    After its checks, each layer's weight and bias gradients are written
+    straight into that vector.
     """
     topology = trace.topology
     w = _check_params(topology, w)
     # NaN != NaN, so a NaN weight retries with equal_nan instead of raising
     # StaleTrace; the caller's finiteness check then reports it.
-    if not (np.array_equal(trace.params, w)
+    if not (trace.params is w or np.array_equal(trace.params, w)
             or np.array_equal(trace.params, w, equal_nan=True)):
         raise StaleTrace(
             "trace was built from a different parameter vector; "
@@ -228,14 +250,14 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
     if g_out.shape != trace.outputs.shape:
         raise ShapeMismatch("output gradient", trace.outputs.shape, g_out.shape)
 
-    grad = np.zeros(topology.n_params)
+    grad = np.empty(topology.n_params)
     slices = layer_slices(topology)
     delta = g_out
     for l in range(topology.n_affine_layers, 0, -1):
         w_sl, shape, b_sl = slices[l - 1]
         a_prev = trace.hidden[l - 1]
-        grad[w_sl] = np.ravel(a_prev.T @ delta, order="C")
-        grad[b_sl] = delta.sum(axis=0)
+        np.matmul(a_prev.T, delta, out=grad[w_sl].reshape(shape))
+        delta.sum(axis=0, out=grad[b_sl])
         if l > 1:
             gate = _activation_grad(
                 topology.hidden_activation, trace.pre[l - 2], trace.hidden[l - 1]

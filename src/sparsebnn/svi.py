@@ -30,7 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import ShapeMismatch, _nll_and_grad, backward, forward, nll
+from .network import (
+    ShapeMismatch, _check_inputs, _check_params, _forward, _nll_and_grad,
+    backward, forward, nll,
+)
 
 # SeedSequence splits an int past this into several 32-bit words
 _WORD_LIMIT = 2**32
@@ -283,12 +286,14 @@ def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
 
     ``sigma`` and ``terms`` (from :func:`_penalty_terms`) are shared by
     every draw of a step; ``e`` is the draw's standard-normal vector.  The
-    forward trace lives only inside this call.
+    caller has checked the shapes, so the forward loop runs without
+    :func:`forward`'s checks or copy; its trace holds ``w`` and lives only
+    inside this call.
     """
     w = vp.m + sigma * e
     if vp.active is not None:
         w = np.where(vp.active, w, 0.0)
-    outputs, trace = forward(topology, w, x)
+    outputs, trace = _forward(topology, w, x)
     data_nll, g_out = _nll_and_grad(topology.output_head, outputs, y,
                                     noise_variance)
     g_w = backward(trace, w, g_out)
@@ -320,7 +325,8 @@ def step_gradients(
     """
     if not 0.0 < kl_weight <= 1.0:
         raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
-    x = np.asarray(x, dtype=float)
+    _check_params(topology, vp.m)
+    x = _check_inputs(topology, x)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)

@@ -16,6 +16,13 @@ the optimizer step on the one buffer ``[m | rho]`` that ``vp.m`` and
 step: the draws, the penalty and the epoch's mean-weight loss reuse it
 or need none.  Only masked runs apply the keep mask.  A fixed seed gives
 bit-identical results, pinned by ``tests/test_golden.py``.
+
+Each ``train`` call allocates its workspace once: the ``[m | rho]`` and
+gradient buffers, the optimizer's moment and scratch vectors, and one
+(n, width) buffer per layer for the epoch's full-data loss, which
+network's forward loop fills and activates in place.  So the epoch makes
+no (n, width) temporary and the optimizer no parameter-sized one, and
+every expression keeps the order, hence the bits, of its allocating form.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .datasets import Dataset
-from .network import NetworkTopology, apply_head, forward
+from .network import (
+    NetworkTopology, ShapeMismatch, _forward, apply_head, forward,
+)
 from .svi import (
     NoiseDraw,
     SpikeSlabPrior,
@@ -121,12 +130,13 @@ def minibatch_weights(n_batches: int, schedule: str) -> np.ndarray:
 
 
 class _Sgd:
-    def __init__(self, lr):
+    def __init__(self, lr, size):
         self.lr = lr
+        self.step = np.empty(size)
 
     def update(self, grad):
-        """The step to subtract from the parameters."""
-        return self.lr * grad
+        """The step to subtract from the parameters, in a reused buffer."""
+        return np.multiply(self.lr, grad, out=self.step)
 
 
 class _Adam:
@@ -138,17 +148,25 @@ class _Adam:
         self.m1 = np.zeros(size)
         self.m2 = np.zeros(size)
         self.t = 0
+        self.step = np.empty(size)
+        self.scratch = np.empty(size)
 
     def update(self, grad):
-        """The step to subtract from the parameters."""
+        """The step to subtract from the parameters, in a reused buffer:
+        lr * mhat / (sqrt(vhat) + eps), evaluated in that order."""
         self.t += 1
+        step, scratch = self.step, self.scratch
         self.m1 *= self.beta1
-        self.m1 += (1.0 - self.beta1) * grad
+        self.m1 += np.multiply(1.0 - self.beta1, grad, out=step)
         self.m2 *= self.beta2
-        self.m2 += (1.0 - self.beta2) * grad * grad
-        mhat = self.m1 / (1.0 - self.beta1**self.t)
-        vhat = self.m2 / (1.0 - self.beta2**self.t)
-        return self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.multiply(1.0 - self.beta2, grad, out=step)
+        self.m2 += np.multiply(step, grad, out=step)
+        np.divide(self.m1, 1.0 - self.beta1**self.t, out=step)    # mhat
+        np.divide(self.m2, 1.0 - self.beta2**self.t, out=scratch)  # vhat
+        np.multiply(self.lr, step, out=step)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        return np.divide(step, scratch, out=step)
 
 
 def init_params(
@@ -168,13 +186,18 @@ def _mean_weights(vp: VariationalParams) -> np.ndarray:
     return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
 
 
-def _train_loss(topology, vp, x, y):
-    outputs, _ = forward(topology, _mean_weights(vp), x)
+def _train_loss(topology, vp, x, y, out):
+    """Full-data loss at the posterior mean: the mean squared error for the
+    identity head, the error rate for softmax.  ``out`` holds one (n, width)
+    buffer per affine layer; the pass writes into them and allocates no
+    (n, width) array."""
+    outputs, _ = _forward(topology, _mean_weights(vp), x, out=out)
     if topology.output_head == "identity":
         t = np.asarray(y, dtype=float)
         if t.ndim == 1 and outputs.shape[1] == 1:
             t = t[:, None]
-        return float(np.mean((outputs - t) ** 2))
+        np.subtract(outputs, t, out=outputs)
+        return float(np.mean(np.square(outputs, out=outputs)))
     return float(np.mean(outputs.argmax(axis=1) != np.asarray(y)))
 
 
@@ -199,6 +222,9 @@ def train(
             f"dataset has {dataset.n_features} features but the topology "
             f"expects {topology.n_inputs}"
         )
+    if init is not None and len(init) != topology.n_params:
+        raise ShapeMismatch("init parameters", (topology.n_params,),
+                            (len(init),))
     x_all = dataset.X
     y_all = dataset.y
     master = np.random.default_rng(config.seed)
@@ -216,7 +242,10 @@ def train(
         opt = _Adam(config.learning_rate, config.adam_beta1,
                     config.adam_beta2, config.adam_eps, 2 * size)
     else:
-        opt = _Sgd(config.learning_rate)
+        opt = _Sgd(config.learning_rate, 2 * size)
+    # one buffer per layer for the epoch's full-data loss pass
+    loss_out = [np.empty((dataset.n, width))
+                for width in topology.layer_sizes[1:]]
 
     n_batches = -(-dataset.n // config.batch_size)
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
@@ -265,7 +294,7 @@ def train(
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj
-        train_loss[epoch] = _train_loss(topology, vp, x_all, y_all)
+        train_loss[epoch] = _train_loss(topology, vp, x_all, y_all, loss_out)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
         objective=objective, train_loss=train_loss, wall_ms=wall_ms,

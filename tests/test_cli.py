@@ -356,6 +356,41 @@ class TestBenchmarkCommand:
         assert "droprates" in capsys.readouterr().err
         assert not out.exists()
 
+    def _bench_rows(self, tmp_path, name, *args):
+        out = tmp_path / f"{name}.csv"
+        code = main(["benchmark", "--manifest",
+                     str(_write_benchmark_fixtures(tmp_path)), "--repeats",
+                     "1", "--epochs", "3", "--batch", "64", "--hidden", "4",
+                     "--out", str(out), *args])
+        assert code == 0
+        return out.read_bytes()
+
+    def test_config_rule_and_droprates_are_read(self, tmp_path):
+        conf = _write(tmp_path / "b.conf", "rule = m2\ndroprates = 5\n")
+        from_file = self._bench_rows(tmp_path, "file", "--config", conf)
+        rows = list(csv.DictReader(from_file.decode().splitlines()))
+        assert [(r["dataset"], r["droprate"]) for r in rows] == [
+            ("alpha", "0.05"), ("beta", "0.05")]
+        assert from_file == self._bench_rows(
+            tmp_path, "cli", "--rule", "m2", "--droprates", "5")
+
+    def test_command_line_overrides_config_rule_and_droprates(self, tmp_path):
+        conf = _write(tmp_path / "b.conf", "rule = magnitude\ndroprates = 5\n")
+        rows = list(csv.DictReader(self._bench_rows(
+            tmp_path, "over", "--config", conf, "--rule", "p",
+            "--droprates", "50,90").decode().splitlines()))
+        assert [r["droprate"] for r in rows] == ["0.5", "0.9"] * 2
+
+    def test_config_unknown_rule_exits_2(self, tmp_path, capsys):
+        # the file's rule is looked up, not replaced by a default
+        conf = _write(tmp_path / "b.conf", "rule = magnitude\n")
+        code = main(["benchmark", "--manifest",
+                     str(_write_benchmark_fixtures(tmp_path)), "--repeats",
+                     "1", "--epochs", "2", "--config", conf,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unknown rule 'magnitude'" in capsys.readouterr().err
+
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({"datasets": []}))

@@ -72,6 +72,13 @@ def _pruned_sgd_blundell_tanh():
     return train(topology, PRIOR, _data(3), config, init=pruned)
 
 
+def _adam_blundell_identity_2draws():
+    return train(NetworkTopology((6, 8, 4, 1), hidden_activation="identity"),
+                 PRIOR, _data(4),
+                 TrainConfig(epochs=5, batch_size=50, kl_schedule="blundell",
+                             mc_samples=2, seed=10))
+
+
 def digests(report) -> dict:
     def sha(*arrays):
         h = hashlib.sha256()
@@ -92,6 +99,7 @@ RUNS = {
     "sgd_blundell_tanh_3draws": _sgd_blundell_tanh,
     "pruned_init": _pruned_init,
     "pruned_sgd_blundell_tanh_3draws": _pruned_sgd_blundell_tanh,
+    "adam_blundell_identity_2draws": _adam_blundell_identity_2draws,
 }
 
 GOLDEN = {
@@ -115,6 +123,11 @@ GOLDEN = {
         "objective": "f70fb0c0d4d060c345007bc232e516ce03fea3e26be9a59a54ebca055e3c5187",
         "train_loss": "301c2b3b963b32f0d00eb9d18f81b7bf33006805743371e074ffc8e5055a5e85",
     },
+    "adam_blundell_identity_2draws": {
+        "params": "12c311bf5515196d34ed4f0963bb005a47cc84dcb87e326026109ccefaceafa7",
+        "objective": "e9c468c075fc355c5eb762d9d3ef5bf06fa10a5473daba05769358ec2cdd1f19",
+        "train_loss": "83baa394baff7f188e810a06f43d1a93f0604aeae0c5e1e218ff3ae5276f7e5d",
+    },
 }
 
 # (final objective, sum(p), m[:3]); a pruned entry of m is exactly 0.0
@@ -134,6 +147,10 @@ GOLDEN_VALUES = {
     "pruned_sgd_blundell_tanh_3draws": (
         371.3426195931735, 7.39295047882106,
         [-0.051359215484915864, 0.0, -0.11200961185387949],
+    ),
+    "adam_blundell_identity_2draws": (
+        415.2779618629702, 10.298672036137534,
+        [0.014555750382085729, 0.017994550738146205, 0.018933995675655332],
     ),
 }
 

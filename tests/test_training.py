@@ -10,6 +10,7 @@ from sparsebnn import (
     NetworkTopology,
     NoiseDraw,
     NumericalAbort,
+    ShapeMismatch,
     SpikeSlabPrior,
     TrainConfig,
     VariationalParams,
@@ -355,3 +356,46 @@ def test_softmax_head_learns_integer_labels():
     majority = 1.0 - np.bincount(labels).max() / len(labels)
     assert error < majority
     assert report.train_loss[-1] == error
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_epoch_loss_pass_equals_public_predict_bit_for_bit(activation):
+    # the loss pass writes into the run's buffers and activates in place;
+    # its float must be the one the allocating public path gives
+    ds = gen_two_feature(0.5, n=300, seed=4)
+    topo = NetworkTopology((2, 7, 5, 1), hidden_activation=activation)
+    report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                   TrainConfig(epochs=3, batch_size=64, seed=6))
+    pred = predict(topo, report.params, ds.X)
+    assert report.train_loss[-1] == float(np.mean((pred - ds.y[:, None]) ** 2))
+
+
+def test_softmax_epoch_loss_is_predict_argmax_error_rate():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((200, 3))
+    labels = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
+    ds = Dataset(x, labels, ["a", "b", "c"])
+    topo = NetworkTopology((3, 6, 3), output_head="softmax")
+    report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                   TrainConfig(epochs=3, batch_size=50, seed=2))
+    outputs = predict(topo, report.params, ds.X)
+    assert report.train_loss[-1] == float(
+        np.mean(outputs.argmax(axis=1) != labels))
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_init_of_wrong_length_rejected_before_any_step(monkeypatch, delta):
+    ds = _linear_dataset(n=64, seed=2)
+    topo = NetworkTopology((1, 3, 1))
+    n = topo.n_params + delta
+    start = VariationalParams(np.zeros(n), np.full(n, -3.0), np.full(n, 0.5))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("train drew noise before checking init")
+
+    monkeypatch.setattr(NoiseDraw, "draw", no_draw)
+    with pytest.raises(ShapeMismatch) as err:
+        train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+              TrainConfig(epochs=1, batch_size=64, seed=3), init=start)
+    assert (err.value.expected, err.value.actual) == ((topo.n_params,), (n,))
+    assert str(topo.n_params) in str(err.value) and str(n) in str(err.value)
