@@ -55,7 +55,6 @@ from .svi import (
     SpikeSlabPrior,
     VariationalParams,
     grad_penalty,
-    logit_gap,
     objective_estimate,
     optimal_p,
     penalty_R,

@@ -440,7 +440,8 @@ def cmd_benchmark(args) -> int:
         for r in range(repeats):
             train_ds, test_ds, scaler = _split(full, opts, r)
             config = _train_config_from({**opts, "seed": opts["seed"] + r})
-            report = train(topology, prior, train_ds, config)
+            report = train(topology, prior, train_ds, config,
+                           diagnostics=False)
             sweeps.append(_sweep(topology, report.params, rule, rates,
                                  test_ds, scaler))
         for i, (rate, sparse, _) in enumerate(sweeps[0]):

@@ -226,10 +226,12 @@ def variable_selection(
     Dropped input columns are zeroed (X @ diag(z_hat)) rather than removed,
     so the refit network keeps the same topology.  Accuracy against the
     generator's ground truth is reported when the dataset records it.
+    The refit trains with ``diagnostics=False``: only its parameters are
+    read, so ``refit.objective`` and ``refit.train_loss`` are ``None``.
     """
     report = importance_report(topology, vp, keep_quantile)
     masked = dataset.with_feature_mask(report.selected)
-    refit = train(topology, prior, masked, retrain)
+    refit = train(topology, prior, masked, retrain, diagnostics=False)
     accuracy = None
     if dataset.z is not None:
         accuracy = selection_accuracy(dataset.z, report.selected)
@@ -263,7 +265,8 @@ def cv_threshold(
     surplus features nearly free.  The smallest proportion within one
     standard error of the minimum is returned, which reads off that elbow;
     the raw minimizer tends to over-select by drifting across the flat
-    valley.
+    valley.  Only the trained parameters are read, so every fold model
+    and refit trains with ``diagnostics=False``.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -280,7 +283,8 @@ def cv_threshold(
         fold_val = dataset.subset(va_idx)
         fold_config = replace(train_config,
                               seed=train_config.seed + 1000 * (k + 1))
-        full = train(topology, prior, fold_train, fold_config)
+        full = train(topology, prior, fold_train, fold_config,
+                     diagnostics=False)
         # one refit seed per fold, shared across candidates: errors are
         # compared within a fold, so common noise cancels
         refit_config = replace(fold_config, seed=fold_config.seed + 17)

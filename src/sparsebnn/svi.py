@@ -189,17 +189,6 @@ def optimal_p(m, sigma, prior: SpikeSlabPrior):
     return out if out.ndim else float(out)
 
 
-def logit_gap(m, sigma, prior: SpikeSlabPrior):
-    """2*(logit p* - logit pi) as an explicit function of (m, sigma, prior)."""
-    m = np.asarray(m, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    s = m * m + sigma * sigma
-    out = s * (1.0 / prior.tau0**2 - 1.0 / prior.tau1**2) - np.log(
-        prior.tau1**2 / prior.tau0**2
-    )
-    return out if out.ndim else float(out)
-
-
 def grad_penalty(m, sigma, p, prior: SpikeSlabPrior):
     """Closed-form (dR/dm, dR/d sigma^2) holding p fixed."""
     m = np.asarray(m, dtype=float)

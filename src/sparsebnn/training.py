@@ -17,12 +17,19 @@ step: the draws, the penalty and the epoch's mean-weight loss reuse it
 or need none.  Only masked runs apply the keep mask.  A fixed seed gives
 bit-identical results, pinned by ``tests/test_golden.py``.
 
+The logged objective and the epoch's full-data ``train_loss`` are
+diagnostics that no parameter depends on.  ``diagnostics=False`` skips
+the per-draw ``penalty_total`` (so the sentence above counts two calls
+per draw, not three) and the per-epoch loss pass, with the same
+parameter bits; callers that read only the trained parameters use it.
+
 Each ``train`` call allocates its workspace once: the ``[m | rho]`` and
-gradient buffers, the optimizer's moment and scratch vectors, and one
-(n, width) buffer per layer for the epoch's full-data loss, which
-network's forward loop fills and activates in place.  So the epoch makes
-no (n, width) temporary and the optimizer no parameter-sized one, and
-every expression keeps the order, hence the bits, of its allocating form.
+gradient buffers, the optimizer's moment and scratch vectors, and, with
+diagnostics on, one (n, width) buffer per layer for the epoch's full-data
+loss, which network's forward loop fills and activates in place.  So the
+epoch makes no (n, width) temporary and the optimizer no parameter-sized
+one, and every expression keeps the order, hence the bits, of its
+allocating form.
 """
 
 from __future__ import annotations
@@ -101,11 +108,12 @@ class TrainReport:
     """Loss trace and final state of one training run.
 
     All numeric state is bit-reproducible for a fixed seed; wall times are
-    measured and therefore are not.
+    measured and therefore are not.  ``objective`` and ``train_loss`` are
+    ``None`` for a run trained with ``diagnostics=False``.
     """
 
-    objective: np.ndarray
-    train_loss: np.ndarray
+    objective: Optional[np.ndarray]
+    train_loss: Optional[np.ndarray]
     wall_ms: np.ndarray
     params: VariationalParams
     seed: int
@@ -207,6 +215,8 @@ def train(
     dataset: Dataset,
     config: TrainConfig,
     init: Optional[VariationalParams] = None,
+    *,
+    diagnostics: bool = True,
 ) -> TrainReport:
     """Run the full optimization loop and return the final state with traces.
 
@@ -214,6 +224,18 @@ def train(
     minibatches; each step draws fresh noise, updates (m, rho), then resets
     p to its closed-form optimum.  A non-finite objective or gradient
     raises :class:`NumericalAbort` naming the offending quantity.
+
+    With ``diagnostics=False`` the per-draw penalty value and the
+    per-epoch full-data loss are not computed and the report's
+    ``objective`` and ``train_loss`` are ``None``; the parameters and
+    draws are bit for bit those of a run with diagnostics on.  The abort
+    still checks the mean data NLL (as "objective") and the gradient at
+    every step; when the gradient is non-finite it computes the penalty
+    value, so the abort names the quantity a run with diagnostics names.
+    A step whose gradient and data NLL are finite but whose penalty value
+    is not (some m^2 + sigma^2 overflows, yet its weights touch only
+    all-zero inputs) is not checked: with diagnostics on it aborts on
+    "objective", with them off the run goes on.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -243,9 +265,10 @@ def train(
                     config.adam_beta2, config.adam_eps, 2 * size)
     else:
         opt = _Sgd(config.learning_rate, 2 * size)
-    # one buffer per layer for the epoch's full-data loss pass
-    loss_out = [np.empty((dataset.n, width))
-                for width in topology.layer_sizes[1:]]
+    if diagnostics:
+        # one buffer per layer for the epoch's full-data loss pass
+        loss_out = [np.empty((dataset.n, width))
+                    for width in topology.layer_sizes[1:]]
 
     n_batches = -(-dataset.n // config.batch_size)
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
@@ -279,12 +302,20 @@ def train(
                 )
                 grad[:size] += gm
                 grad[size:] += gr
-                obj += data_nll + kl * penalty_total(vp, prior, sigma=sigma)
+                # one sum either way: on, the objective keeps its bits; off,
+                # data_nll + 0.0 is data_nll
+                pen = (kl * penalty_total(vp, prior, sigma=sigma)
+                       if diagnostics else 0.0)
+                obj += data_nll + pen
             grad /= config.mc_samples
             obj /= config.mc_samples
+            grad_ok = np.isfinite(grad).all()
+            if not (grad_ok or diagnostics):
+                # name the culprit as a run with diagnostics would
+                obj += kl * penalty_total(vp, prior, sigma=sigma)
             if not math.isfinite(obj):
                 raise NumericalAbort(step, "objective")
-            if not np.isfinite(grad).all():
+            if not grad_ok:
                 bad_m = not np.isfinite(grad[:size]).all()
                 raise NumericalAbort(step, "grad_m" if bad_m else "grad_rho")
             np.subtract(theta, opt.update(grad), out=theta, where=keep)
@@ -294,10 +325,13 @@ def train(
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj
-        train_loss[epoch] = _train_loss(topology, vp, x_all, y_all, loss_out)
+        if diagnostics:
+            train_loss[epoch] = _train_loss(topology, vp, x_all, y_all,
+                                            loss_out)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
-        objective=objective, train_loss=train_loss, wall_ms=wall_ms,
+        objective=objective if diagnostics else None,
+        train_loss=train_loss if diagnostics else None, wall_ms=wall_ms,
         params=vp, seed=config.seed, config=config, draw_count=draw_index,
     )
 

@@ -197,8 +197,11 @@ def test_criterion_04_inclusion_probability_monotonics():
     gap_ok = True
     for pi in (0.2, 0.5, 0.8):
         near = SpikeSlabPrior(pi, 1.0, 1.0 - 1e-8)
-        gap_ok &= abs(sb.logit_gap(0.6, 0.4, near)) < 1e-6
-        gap_ok &= abs(sb.optimal_p(0.6, 0.4, near) - pi) < 1e-6
+        p = sb.optimal_p(0.6, 0.4, near)
+        # 2 * (logit p - logit pi), the gap of p's logit from the prior's
+        gap = 2.0 * (math.log(p / (1.0 - p)) - math.log(pi / (1.0 - pi)))
+        gap_ok &= abs(gap) < 1e-6
+        gap_ok &= abs(p - pi) < 1e-6
     # (c) p decreasing in tau1 with all else fixed; the decay is only
     # logarithmic in tau1, so the limit check needs a very wide grid
     taus = np.exp(np.linspace(math.log(2.0), math.log(1e13), 40))

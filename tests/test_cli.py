@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small synthetic configurations."""
 
 import csv
+import hashlib
 import json
 import shutil
 
@@ -246,6 +247,17 @@ class TestSelectCommand:
             1.0 - report["cv_keep_proportion"]
         )
 
+    def test_cv_report_bytes_are_pinned(self, tmp_path):
+        out = _train(tmp_path)
+        report_path = tmp_path / "cv.json"
+        code = main(
+            ["select", "--checkpoint", str(out / "model.ckpt"), "--cv",
+             "--folds", "2", "--grid", "0.25,0.5,1.0",
+             "--out", str(report_path)]
+        )
+        assert code == 0
+        assert _sha256(report_path) == SELECT_CV_SHA256
+
     def test_single_fold_cv_exits_2(self, tmp_path, capsys):
         out = _train(tmp_path)
         code = main(["select", "--checkpoint", str(out / "model.ckpt"),
@@ -259,6 +271,20 @@ class TestSelectCommand:
                      "--quantile", "1.0"])
         assert code == 2
         assert "keep_quantile" in capsys.readouterr().err
+
+
+# SHA-256 of two fixed-seed CLI outputs: a `select --cv` JSON report and a
+# `benchmark --repeats 2` CSV.  Like the golden runs in test_golden.py they
+# were recorded with numpy 2.4.6 on x86-64 and may round differently on
+# another numpy, BLAS or CPU.
+SELECT_CV_SHA256 = (
+    "4601c1448986670a5970325b426f24f846dfd55824540bf8cde2b6f9f91a3b80")
+BENCHMARK_SHA256 = (
+    "e083ffb39b5e543e50f1920269a0a665ba8b49b1e38d97b54f47b32a7cabe7d7")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_benchmark_fixtures(tmp_path):
@@ -297,6 +323,16 @@ class TestBenchmarkCommand:
         assert {r["dataset"] for r in rows} == {"alpha", "beta"}
         assert all("seed" in r for r in rows)
         assert all(float(r["rmse_se"]) >= 0.0 for r in rows)
+
+    def test_two_repeat_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["benchmark", "--manifest", str(_write_benchmark_fixtures(tmp_path)),
+             "--repeats", "2", "--epochs", "6", "--batch", "64",
+             "--hidden", "4", "--out", str(out)]
+        )
+        assert code == 0
+        assert _sha256(out) == BENCHMARK_SHA256
 
     @pytest.mark.parametrize("extra, conf, split_seed, standardize", [
         (["--split-seed", "5"], "", 5, True),

@@ -1,9 +1,10 @@
 """Golden numerics: short fixed-seed trainings pinned by SHA-256.
 
 Each run hashes its final ``(m, rho, p)`` and its per-epoch ``objective``
-and ``train_loss`` as little-endian float64 bytes.  A refactor that keeps
-the arithmetic keeps every hash; one that reorders floating-point work
-changes them and must say so.  Beside each hash, the final objective,
+and ``train_loss`` as little-endian float64 bytes; the same run with
+``diagnostics=False`` must give the same ``(m, rho, p)``.  A refactor that
+keeps the arithmetic keeps every hash; one that reorders floating-point
+work changes them and must say so.  Beside each hash, the final objective,
 ``sum(p)`` and ``m[:3]`` are pinned as values at a relative tolerance of
 1e-12, so a change that moves bits shows how far the numbers moved.  The
 pins were recorded with numpy 2.4.6 on x86-64 (OpenBLAS, AVX-512); another
@@ -13,11 +14,13 @@ CPU at hand, since softplus, the logistic and x*log x are built from them.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sparsebnn.compression
+import sparsebnn.training
 from sparsebnn import (
     NetworkTopology,
     SpikeSlabPrior,
@@ -41,56 +44,61 @@ def _data(seed):
     return ds
 
 
-def _adam_uniform_relu():
+def _adam_uniform_relu(**kw):
     return train(NetworkTopology((6, 8, 4, 1)), PRIOR, _data(0),
-                 TrainConfig(epochs=6, batch_size=48, seed=3))
+                 TrainConfig(epochs=6, batch_size=48, seed=3), **kw)
 
 
-def _sgd_blundell_tanh():
+def _sgd_blundell_tanh(**kw):
     return train(NetworkTopology((6, 8, 1), hidden_activation="tanh"), PRIOR,
                  _data(1),
                  TrainConfig(epochs=5, batch_size=64, learning_rate=1e-3,
                              optimizer="sgd", kl_schedule="blundell",
-                             mc_samples=3, seed=4))
+                             mc_samples=3, seed=4), **kw)
 
 
-def _pruned_init():
+def _pruned_init(**kw):
     topology = NetworkTopology((6, 8, 4, 1))
     config = TrainConfig(epochs=5, batch_size=40, seed=5)
     start = init_params(topology, PRIOR, config, np.random.default_rng(6))
     _, pruned = prune(start, "inclusion_p", 0.5)
-    return train(topology, PRIOR, _data(2), config, init=pruned)
+    return train(topology, PRIOR, _data(2), config, init=pruned, **kw)
 
 
-def _pruned_sgd_blundell_tanh():
+def _pruned_sgd_blundell_tanh(**kw):
     topology = NetworkTopology((6, 8, 4, 1), hidden_activation="tanh")
     config = TrainConfig(epochs=5, batch_size=64, learning_rate=1e-3,
                          optimizer="sgd", kl_schedule="blundell",
                          mc_samples=3, seed=8)
     start = init_params(topology, PRIOR, config, np.random.default_rng(9))
     _, pruned = prune(start, "inclusion_p", 0.5)
-    return train(topology, PRIOR, _data(3), config, init=pruned)
+    return train(topology, PRIOR, _data(3), config, init=pruned, **kw)
 
 
-def _adam_blundell_identity_2draws():
+def _adam_blundell_identity_2draws(**kw):
     return train(NetworkTopology((6, 8, 4, 1), hidden_activation="identity"),
                  PRIOR, _data(4),
                  TrainConfig(epochs=5, batch_size=50, kl_schedule="blundell",
-                             mc_samples=2, seed=10))
+                             mc_samples=2, seed=10), **kw)
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _params_sha(report):
+    vp = report.params
+    return _sha(vp.m, vp.rho, vp.p)
 
 
 def digests(report) -> dict:
-    def sha(*arrays):
-        h = hashlib.sha256()
-        for a in arrays:
-            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        return h.hexdigest()
-
-    vp = report.params
     return {
-        "params": sha(vp.m, vp.rho, vp.p),
-        "objective": sha(report.objective),
-        "train_loss": sha(report.train_loss),
+        "params": _params_sha(report),
+        "objective": _sha(report.objective),
+        "train_loss": _sha(report.train_loss),
     }
 
 
@@ -166,11 +174,32 @@ def test_fixed_seed_run_matches_golden_hashes(name):
     assert digests(report) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_diagnostics_off_keeps_the_golden_params(name, monkeypatch):
+    calls = Counter()
+    for attr in ("penalty_total", "_train_loss"):
+        real = getattr(sparsebnn.training, attr)
+
+        def counted(*args, _real=real, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sparsebnn.training, attr, counted)
+    report = RUNS[name](diagnostics=False)
+    assert (report.objective, report.train_loss) == (None, None)
+    assert calls == Counter()
+    assert _params_sha(report) == GOLDEN[name]["params"]
+    # the counters see the diagnostics when they are on
+    RUNS[name]()
+    assert calls["penalty_total"] > 0 and calls["_train_loss"] > 0
+
 
 # every train and predict call inside one small cv_threshold, in order:
-# (SHA-256 of their inputs and outputs, calls made, chosen proportion)
+# (SHA-256 of each train's X, y and final (m, rho, p) and each predict's
+# input and output, calls made, chosen proportion).  The runs' objective
+# is not hashed: cv_threshold trains with diagnostics off, so it has none.
 CV_GOLDEN = (
-    "bf10b3c2a8953f2f69ef57e2abc4c0e903392eb98171ed351dbd1e53863ef557", 27, 0.1,
+    "b6c36ccb68225e34fe0f9de098ed5dc1215566cc6eed3ddb3e752bd318547923", 27, 0.1,
 )
 
 
@@ -188,8 +217,7 @@ def test_cv_threshold_matches_golden_call_stream(monkeypatch):
     def spy_train(topology, prior, dataset, config, **kwargs):
         report = real_train(topology, prior, dataset, config, **kwargs)
         vp = report.params
-        put("train", dataset.X, dataset.y, vp.m, vp.rho, vp.p,
-            report.objective)
+        put("train", dataset.X, dataset.y, vp.m, vp.rho, vp.p)
         return report
 
     def spy_predict(topology, vp, X):

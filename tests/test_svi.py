@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import expit, logit, xlogy
+from scipy.special import expit, xlogy
 
 from helpers import assert_grad_close, moderate_prior
 from sparsebnn import (
@@ -15,7 +15,6 @@ from sparsebnn import (
     SpikeSlabPrior,
     VariationalParams,
     grad_penalty,
-    logit_gap,
     objective_estimate,
     optimal_p,
     penalty_R,
@@ -250,26 +249,7 @@ class TestOptimalP:
                 direct, rel=1e-12
             )
 
-
-class TestLogitGap:
-    def test_consistent_with_optimal_p(self):
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 50:
-            prior = moderate_prior(rng)
-            m = float(rng.normal(0, 0.7))
-            sigma = float(rng.uniform(0.2, 1.2))
-            gap = logit_gap(m, sigma, prior)
-            # logit(p) is only float-representable while p stays interior
-            if abs(0.5 * gap + logit(prior.pi)) > 12.0:
-                continue
-            p = optimal_p(m, sigma, prior)
-            assert gap == pytest.approx(
-                2.0 * (logit(p) - logit(prior.pi)), abs=1e-10, rel=1e-10
-            )
-            checked += 1
-
-    def test_gap_vanishes_as_scales_merge(self):
+    def test_p_returns_to_prior_as_scales_merge(self):
         # tau1/tau0 -> 1 drives p back to the prior weight
         m, sigma, pi = 0.5, 0.4, 0.3
         deltas = [0.1, 0.01, 0.001, 1e-5]
@@ -279,7 +259,6 @@ class TestLogitGap:
             errors.append(abs(optimal_p(m, sigma, prior) - pi))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         prior = SpikeSlabPrior(pi, 1.0, 1.0 - 1e-7)
-        assert abs(logit_gap(m, sigma, prior)) < 1e-6
         assert abs(optimal_p(m, sigma, prior) - pi) < 1e-6
 
     def test_growing_slab_scale_drives_p_to_zero(self):
@@ -292,16 +271,6 @@ class TestLogitGap:
         ]
         assert all(a > b for a, b in zip(ps, ps[1:]))
         assert ps[-1] < 1e-3
-
-    def test_gap_strictly_increases_when_second_moment_doubles(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            prior = moderate_prior(rng)
-            m = float(rng.normal(0, 1))
-            sigma = float(rng.uniform(0.1, 1.0))
-            g1 = logit_gap(m, sigma, prior)
-            g2 = logit_gap(math.sqrt(2) * m, math.sqrt(2) * sigma, prior)
-            assert g2 > g1
 
 
 class TestGradPenalty:

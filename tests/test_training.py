@@ -339,6 +339,50 @@ def test_nan_weight_aborts_on_objective_not_stale_trace():
     assert (err.value.step, err.value.quantity) == (0, "objective")
 
 
+def test_nan_weight_aborts_on_objective_with_diagnostics_off():
+    ds = _linear_dataset(n=64, seed=2)
+    topo = NetworkTopology((1, 2, 1))
+    start = VariationalParams(np.zeros(topo.n_params),
+                              np.full(topo.n_params, -3.0),
+                              np.full(topo.n_params, 0.5))
+    start.m[0] = np.nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                  TrainConfig(epochs=2, batch_size=64, seed=3), init=start,
+                  diagnostics=False)
+    assert (err.value.step, err.value.quantity) == (0, "objective")
+
+
+# divergent runs; in all but the last the gradient and the penalty value
+# turn non-finite at one step, and diagnostics off must still name the
+# objective, as a run with diagnostics does
+@pytest.mark.parametrize("optimizer, lr, mc_samples, activation", [
+    ("sgd", 1e3, 1, "relu"),
+    ("sgd", 1e8, 3, "tanh"),
+    ("adam", 1e3, 1, "relu"),
+    ("adam", 1e50, 3, "identity"),
+    ("adam", 1e3, 3, "tanh"),
+    ("sgd", 1e200, 1, "relu"),
+])
+def test_divergence_aborts_alike_with_diagnostics_off(
+        optimizer, lr, mc_samples, activation):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((96, 3))
+    ds = Dataset(x, x @ np.array([1.0, -2.0, 0.5]), ["a", "b", "c"])
+    config = TrainConfig(epochs=5, batch_size=32, learning_rate=lr,
+                         optimizer=optimizer, mc_samples=mc_samples, seed=1)
+    aborts = []
+    for diagnostics in (True, False):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalAbort) as err:
+                train(NetworkTopology((3, 5, 1), hidden_activation=activation),
+                      SpikeSlabPrior(0.5, 1.0, 0.1), ds, config,
+                      diagnostics=diagnostics)
+        aborts.append((err.value.step, err.value.quantity))
+    assert aborts[0] == aborts[1]
+
+
 def test_softmax_head_learns_integer_labels():
     # three classes cut from a noisy linear score; the largest holds 39%
     rng = np.random.default_rng(11)
