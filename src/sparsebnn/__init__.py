@@ -44,7 +44,6 @@ from .network import (
     NetworkTopology,
     ShapeMismatch,
     StaleTrace,
-    apply_head,
     backward,
     forward,
     nll,

@@ -7,7 +7,8 @@ keys; then the arrays back to back, each of n_params entries in canonical
 order.  Every header holds format_version (int, currently 1),
 canonical_order (string id of the flat-vector layout) and n_params (int).
 
-    checkpoint  layer_sizes, hidden_activation, output_head,
+    checkpoint  layer_sizes, hidden_activation, output_head (always
+                "identity": the networks are regression models),
                 prior {pi, tau1, tau0}, has_mask (bool);
                 float64 m, rho, p, then uint8 active (1 = free) if has_mask
     mask        rule, droprate; uint8 keep (1 = keep)
@@ -18,8 +19,9 @@ file is under 12 bytes or has another magic; when the header is truncated,
 not a JSON object, or lacks a key or holds one of the wrong type; when
 format_version or canonical_order differ from this library's; when the
 file has more or fewer bytes than the header implies; when a p lies
-outside [0, 1] or a uint8 flag is not 0 or 1; or when a checkpoint's
-n_params, layer sizes, activations or prior are inconsistent.
+outside [0, 1] or a uint8 flag is not 0 or 1; when a checkpoint's
+output_head is not "identity"; or when its n_params, layer sizes,
+activation or prior are inconsistent.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def save_checkpoint(path, topology: NetworkTopology, prior: SpikeSlabPrior,
     header = {
         "layer_sizes": list(topology.layer_sizes),
         "hidden_activation": topology.hidden_activation,
-        "output_head": topology.output_head,
+        "output_head": "identity",
         "prior": {"pi": prior.pi, "tau1": prior.tau1, "tau0": prior.tau0},
         "has_mask": vp.active is not None,
     }
@@ -145,10 +147,12 @@ def load_checkpoint(path):
     """Returns (topology, prior, params) from a checkpoint file."""
     header, arrays = read_framed(path, MAGIC, _CHECKPOINT_KEYS,
                                  _checkpoint_layout)
+    if header["output_head"] != "identity":
+        raise ValueError(f"{path}: output_head {header['output_head']!r}, "
+                         "expected 'identity'")
     try:
         topology = NetworkTopology(tuple(header["layer_sizes"]),
-                                   header["hidden_activation"],
-                                   header["output_head"])
+                                   header["hidden_activation"])
         prior = SpikeSlabPrior(**header["prior"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -14,8 +14,9 @@ the exact dataset, split, and standardization of the original run, so a
 saved configuration re-executes to identical outputs.  ``benchmark``
 repeat r uses seed ``seed + r`` and split seed ``split_seed + r``.
 
-The command line is regression-only: identity-head networks scored by
-test RMSE.  A checkpoint with the library's softmax head exits 2.
+Every model is a regression network scored by test RMSE.  A checkpoint
+whose header names an ``output_head`` other than ``"identity"`` is
+rejected by its loader, so the command exits 2.
 
 Exit codes: 0 success, 2 any bad file, path or option value (``main`` maps
 every OSError and ValueError to it), 3 numerical abort.
@@ -284,17 +285,8 @@ def _load_run(checkpoint_path):
     return {**run, **{k: _coerce(k, v, run_path) for k, v in options.items()}}
 
 
-def _load_model(path):
-    """A checkpoint's (topology, prior, params); the CLI is regression-only."""
-    topology, prior, vp = load_checkpoint(path)
-    if topology.output_head != "identity":
-        raise ConfigError(f"{path}: has a {topology.output_head} head; the "
-                          "command line takes identity-head models only")
-    return topology, prior, vp
-
-
 def _reload(args):
-    topology, prior, vp = _load_model(args.checkpoint)
+    topology, prior, vp = load_checkpoint(args.checkpoint)
     run = _load_run(args.checkpoint)
     data_spec = args.data or run["data"]
     train_ds, test_ds, scaler = _split(build_dataset(data_spec), run)
@@ -359,7 +351,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    topology, _, vp = _load_model(args.checkpoint)
+    topology, _, vp = load_checkpoint(args.checkpoint)
     psi = feature_importance_psi(topology, vp)
     phi = feature_importance_phi(psi)
     out_path = Path(args.out or Path(args.checkpoint).parent / "importance.csv")

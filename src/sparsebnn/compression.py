@@ -116,7 +116,7 @@ def feature_importance_psi(topology: NetworkTopology,
 
     Builds the per-layer influence matrices from the weight inclusion
     probabilities (biases excluded) and chains them; only single-output
-    heads are supported.
+    networks are supported.
     """
     if topology.n_outputs != 1:
         raise ValueError(

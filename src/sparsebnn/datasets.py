@@ -35,7 +35,7 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y)
+        self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
         if self.y.shape[0] != self.X.shape[0]:
@@ -47,9 +47,7 @@ class Dataset:
             raise ValueError("one feature name per column required")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("X contains non-finite entries")
-        if np.issubdtype(self.y.dtype, np.floating) and not np.all(
-            np.isfinite(self.y)
-        ):
+        if not np.all(np.isfinite(self.y)):
             raise ValueError("y contains non-finite entries")
 
     @property
@@ -146,15 +144,14 @@ class Standardizer:
     """Column-wise location/scale transform fitted on training rows only.
 
     Zero-variance features keep their values (std clamped to 1, with a
-    warning).  Classification targets pass through untouched.
+    warning); a zero-variance response is centred only.
     """
 
-    def __init__(self, x_mean, x_std, y_mean, y_std, standardize_y=True):
+    def __init__(self, x_mean, x_std, y_mean, y_std):
         self.x_mean = np.asarray(x_mean, dtype=float)
         self.x_std = np.asarray(x_std, dtype=float)
         self.y_mean = float(y_mean)
         self.y_std = float(y_std)
-        self.standardize_y = standardize_y
 
     @classmethod
     def fit(cls, train: Dataset) -> "Standardizer":
@@ -171,31 +168,22 @@ class Standardizer:
             # flat columns pass through untouched (location 0, scale 1)
             x_std = np.where(flat, 1.0, x_std)
             x_mean = np.where(flat, 0.0, x_mean)
-        regression = np.issubdtype(np.asarray(train.y).dtype, np.floating)
-        if regression:
-            y_mean = float(np.mean(train.y))
-            y_std = float(np.std(train.y))
-            if y_std == 0.0:
-                warnings.warn("zero-variance response; std clamped to 1",
-                              stacklevel=2)
-                y_std = 1.0
-        else:
-            y_mean, y_std = 0.0, 1.0
-        return cls(x_mean, x_std, y_mean, y_std, standardize_y=regression)
+        y_mean = float(np.mean(train.y))
+        y_std = float(np.std(train.y))
+        if y_std == 0.0:
+            warnings.warn("zero-variance response; std clamped to 1",
+                          stacklevel=2)
+            y_std = 1.0
+        return cls(x_mean, x_std, y_mean, y_std)
 
     def transform(self, ds: Dataset) -> Dataset:
         X = (ds.X - self.x_mean) / self.x_std
-        if self.standardize_y:
-            y = (np.asarray(ds.y, dtype=float) - self.y_mean) / self.y_std
-        else:
-            y = ds.y
+        y = (ds.y - self.y_mean) / self.y_std
         return Dataset(X, y, list(ds.feature_names), z=ds.z, beta=ds.beta,
                        name=ds.name)
 
     def inverse_y(self, y_std):
         """Map standardized responses/predictions back to original units."""
-        if not self.standardize_y:
-            return np.asarray(y_std)
         return np.asarray(y_std, dtype=float) * self.y_std + self.y_mean
 
 

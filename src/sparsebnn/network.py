@@ -10,9 +10,10 @@ mask files, ranking rules), is
         weight matrix of shape (fan_in, fan_out), row-major (C order),
         then bias vector of shape (fan_out,).
 
-The final affine layer is returned raw by ``forward``: for the softmax
-head the normalization is fused into ``nll``/``nll_grad``/``apply_head``
-so that log-sum-exp stays numerically stable.
+The network is a regression model: the final affine layer is returned
+raw by ``forward`` and scored by a Gaussian likelihood.  Checkpoints still
+record this as ``output_head = "identity"``, and the loader rejects any
+other value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "identity")
-OUTPUT_HEADS = ("identity", "softmax")
 
 CANONICAL_ORDER = "layer-major/weights-row-major/bias-after/v1"
 
@@ -41,7 +41,7 @@ class ShapeMismatch(ValueError):
 
 
 class StaleTrace(ValueError):
-    """A forward trace is replayed against parameters it was not built from."""
+    """A forward trace meets parameters it was not built from."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class NetworkTopology:
 
     layer_sizes: tuple[int, ...]
     hidden_activation: str = "relu"
-    output_head: str = "identity"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -69,11 +68,6 @@ class NetworkTopology:
             raise ValueError(
                 f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}, "
                 f"got {self.hidden_activation!r}"
-            )
-        if self.output_head not in OUTPUT_HEADS:
-            raise ValueError(
-                f"output_head must be one of {OUTPUT_HEADS}, "
-                f"got {self.output_head!r}"
             )
 
     @property
@@ -119,17 +113,6 @@ def unflatten(topology: NetworkTopology, w: np.ndarray):
     ]
 
 
-def flatten(topology: NetworkTopology, layers) -> np.ndarray:
-    """Inverse of :func:`unflatten`; packs per-layer arrays canonically."""
-    flat = np.empty(topology.n_params)
-    for (w_sl, shape, b_sl), (W, b) in zip(layer_slices(topology), layers):
-        if W.shape != shape:
-            raise ShapeMismatch("weight matrix", shape, W.shape)
-        flat[w_sl] = np.ravel(W, order="C")
-        flat[b_sl] = b
-    return flat
-
-
 def _check_params(topology, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (topology.n_params,):
@@ -169,7 +152,6 @@ class ForwardTrace:
     """Per-layer pre-activations and activations cached for one batch."""
 
     topology: NetworkTopology
-    x: np.ndarray
     pre: list = field(default_factory=list)       # z_1 .. z_{L+1}
     hidden: list = field(default_factory=list)    # a_0=x, a_1 .. a_L
     params: np.ndarray = None                     # the flat vector used
@@ -177,11 +159,6 @@ class ForwardTrace:
     @property
     def outputs(self) -> np.ndarray:
         return self.pre[-1]
-
-    def replay(self) -> np.ndarray:
-        """Recompute the forward output from the cached inputs."""
-        out, _ = forward(self.topology, self.params, self.x)
-        return out
 
 
 def forward(topology: NetworkTopology, w, x):
@@ -212,7 +189,7 @@ def _forward(topology, w, x, out=None):
     is written into its buffer and activated in place, no trace is kept,
     and the outputs are the last buffer.  Both ways compute the same bits.
     """
-    trace = None if out is not None else ForwardTrace(topology, x, params=w)
+    trace = None if out is not None else ForwardTrace(topology, params=w)
     a = x
     last = topology.n_affine_layers - 1
     for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology)):
@@ -266,35 +243,17 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
     return grad
 
 
-def _regression_targets(outputs, targets):
-    t = np.asarray(targets, dtype=float)
-    if t.ndim == 1 and outputs.ndim == 2 and outputs.shape[1] == 1:
-        t = t[:, None]
-    if t.shape != outputs.shape:
-        raise ShapeMismatch("targets", outputs.shape, t.shape)
-    return t
-
-
-def _class_targets(outputs, targets):
-    t = np.asarray(targets)
-    if t.shape != (outputs.shape[0],):
-        raise ShapeMismatch("class targets", (outputs.shape[0],), t.shape)
-    if not np.issubdtype(t.dtype, np.integer):
-        raise ValueError("softmax targets must be integer class indices")
-    if t.min() < 0 or t.max() >= outputs.shape[1]:
-        raise ValueError(
-            f"class index out of range [0, {outputs.shape[1]}): "
-            f"min={t.min()}, max={t.max()}"
-        )
-    return t
-
-
 def _residual(outputs, targets, noise_variance):
     if noise_variance <= 0:
         raise ValueError(
             f"noise_variance must be positive, got {noise_variance}"
         )
-    return outputs - _regression_targets(outputs, targets)
+    t = np.asarray(targets, dtype=float)
+    if t.ndim == 1 and outputs.ndim == 2 and outputs.shape[1] == 1:
+        t = t[:, None]
+    if t.shape != outputs.shape:
+        raise ShapeMismatch("targets", outputs.shape, t.shape)
+    return outputs - t
 
 
 def _gaussian_nll(resid, noise_variance) -> float:
@@ -304,55 +263,21 @@ def _gaussian_nll(resid, noise_variance) -> float:
     )
 
 
-def nll(head: str, outputs, targets, noise_variance: float = 1.0) -> float:
-    """Negative log-likelihood of a batch, summed over observations.
-
-    identity head: Gaussian likelihood with fixed ``noise_variance``
-    (constant term included).  softmax head: cross-entropy on raw
-    final-layer values via a stabilized log-sum-exp.
-    """
+def nll(outputs, targets, noise_variance: float = 1.0) -> float:
+    """Negative log-likelihood of a batch, summed over observations:
+    Gaussian with fixed ``noise_variance``, constant term included."""
     outputs = np.asarray(outputs, dtype=float)
-    if head == "identity":
-        return _gaussian_nll(_residual(outputs, targets, noise_variance),
-                             noise_variance)
-    if head == "softmax":
-        t = _class_targets(outputs, targets)
-        zmax = outputs.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(outputs - zmax).sum(axis=1))
-        return float(np.sum(lse - outputs[np.arange(len(t)), t]))
-    raise ValueError(f"unknown output head {head!r}")
+    return _gaussian_nll(_residual(outputs, targets, noise_variance),
+                         noise_variance)
 
 
-def nll_grad(head: str, outputs, targets, noise_variance: float = 1.0):
+def nll_grad(outputs, targets, noise_variance: float = 1.0):
     """Gradient of :func:`nll` with respect to ``outputs``."""
     outputs = np.asarray(outputs, dtype=float)
-    if head == "identity":
-        return _residual(outputs, targets, noise_variance) / noise_variance
-    if head == "softmax":
-        t = _class_targets(outputs, targets)
-        probs = apply_head("softmax", outputs)
-        probs[np.arange(len(t)), t] -= 1.0
-        return probs
-    raise ValueError(f"unknown output head {head!r}")
+    return _residual(outputs, targets, noise_variance) / noise_variance
 
 
-def _nll_and_grad(head: str, outputs, targets, noise_variance: float):
-    """(:func:`nll`, :func:`nll_grad`) of one batch; the identity head
-    computes its residual once for both."""
-    if head == "identity":
-        resid = _residual(outputs, targets, noise_variance)
-        return _gaussian_nll(resid, noise_variance), resid / noise_variance
-    return (nll(head, outputs, targets, noise_variance),
-            nll_grad(head, outputs, targets, noise_variance))
-
-
-def apply_head(head: str, outputs):
-    """Map raw final-layer values through the output head."""
-    outputs = np.asarray(outputs, dtype=float)
-    if head == "identity":
-        return outputs
-    if head == "softmax":
-        zmax = outputs.max(axis=1, keepdims=True)
-        e = np.exp(outputs - zmax)
-        return e / e.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown output head {head!r}")
+def _nll_and_grad(outputs, targets, noise_variance: float):
+    """(:func:`nll`, :func:`nll_grad`) of one batch from one residual."""
+    resid = _residual(outputs, targets, noise_variance)
+    return _gaussian_nll(resid, noise_variance), resid / noise_variance

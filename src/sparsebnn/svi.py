@@ -257,7 +257,7 @@ def objective_estimate(
     for draw in draws:
         w = sample_weights(vp, draw)
         outputs, _ = forward(topology, w, x)
-        nll_sum += nll(topology.output_head, outputs, y, noise_variance)
+        nll_sum += nll(outputs, y, noise_variance)
     return nll_sum / len(draws) + kl_weight * penalty_total(vp, prior)
 
 
@@ -283,8 +283,7 @@ def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
     if vp.active is not None:
         w = np.where(vp.active, w, 0.0)
     outputs, trace = _forward(topology, w, x)
-    data_nll, g_out = _nll_and_grad(topology.output_head, outputs, y,
-                                    noise_variance)
+    data_nll, g_out = _nll_and_grad(outputs, y, noise_variance)
     g_w = backward(trace, w, g_out)
     sp, pen_m, pen_rho = terms
     grad_m = g_w + pen_m

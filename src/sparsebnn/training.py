@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .datasets import Dataset
-from .network import (
-    NetworkTopology, ShapeMismatch, _forward, apply_head, forward,
-)
+from .network import NetworkTopology, ShapeMismatch, _forward, forward
 from .svi import (
     NoiseDraw,
     SpikeSlabPrior,
@@ -116,7 +114,6 @@ class TrainReport:
     train_loss: Optional[np.ndarray]
     wall_ms: np.ndarray
     params: VariationalParams
-    seed: int
     config: TrainConfig = None
     draw_count: int = 0
 
@@ -195,18 +192,15 @@ def _mean_weights(vp: VariationalParams) -> np.ndarray:
 
 
 def _train_loss(topology, vp, x, y, out):
-    """Full-data loss at the posterior mean: the mean squared error for the
-    identity head, the error rate for softmax.  ``out`` holds one (n, width)
-    buffer per affine layer; the pass writes into them and allocates no
-    (n, width) array."""
+    """Full-data mean squared error at the posterior mean.  ``out`` holds
+    one (n, width) buffer per affine layer; the pass writes into them and
+    allocates no (n, width) array."""
     outputs, _ = _forward(topology, _mean_weights(vp), x, out=out)
-    if topology.output_head == "identity":
-        t = np.asarray(y, dtype=float)
-        if t.ndim == 1 and outputs.shape[1] == 1:
-            t = t[:, None]
-        np.subtract(outputs, t, out=outputs)
-        return float(np.mean(np.square(outputs, out=outputs)))
-    return float(np.mean(outputs.argmax(axis=1) != np.asarray(y)))
+    t = np.asarray(y, dtype=float)
+    if t.ndim == 1 and outputs.shape[1] == 1:
+        t = t[:, None]
+    np.subtract(outputs, t, out=outputs)
+    return float(np.mean(np.square(outputs, out=outputs)))
 
 
 def train(
@@ -332,7 +326,7 @@ def train(
     return TrainReport(
         objective=objective if diagnostics else None,
         train_loss=train_loss if diagnostics else None, wall_ms=wall_ms,
-        params=vp, seed=config.seed, config=config, draw_count=draw_index,
+        params=vp, config=config, draw_count=draw_index,
     )
 
 
@@ -367,8 +361,3 @@ def predict(
             acc = out if acc is None else acc + out
         return acc / len(draws)
     raise ValueError(f"mode must be 'mean' or 'mc', got {mode!r}")
-
-
-def predict_proba(topology, vp, x, **kwargs):
-    """Class probabilities for a softmax-head network."""
-    return apply_head("softmax", predict(topology, vp, x, **kwargs))

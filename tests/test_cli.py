@@ -281,10 +281,29 @@ SELECT_CV_SHA256 = (
     "4601c1448986670a5970325b426f24f846dfd55824540bf8cde2b6f9f91a3b80")
 BENCHMARK_SHA256 = (
     "e083ffb39b5e543e50f1920269a0a665ba8b49b1e38d97b54f47b32a7cabe7d7")
+# SHA-256 of the artifacts of `_train`'s run, then `prune` (default rule and
+# droprates) and `importance` on its checkpoint; same provenance as above.
+PIPELINE_SHA256 = {
+    "model.ckpt":
+        "5b3fffcffb2da1a633dac7b962d96afa89f6a5df91490bc7879a3ebf1ca0b853",
+    "prune.csv":
+        "f21a8a5e68c47b691152974655f77aa2c932fb87537da888ee33e85ba834c9f9",
+    "importance.csv":
+        "7122b73ad16b739654c3f6c05b760f9392821ed7fca8637caa2e26169f866cdd",
+}
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_train_prune_importance_bytes_are_pinned(tmp_path):
+    out = _train(tmp_path)
+    ckpt = str(out / "model.ckpt")
+    assert main(["prune", "--checkpoint", ckpt]) == 0
+    assert main(["importance", "--checkpoint", ckpt]) == 0
+    assert {name: _sha256(out / name)
+            for name in PIPELINE_SHA256} == PIPELINE_SHA256
 
 
 def _write_benchmark_fixtures(tmp_path):
@@ -504,13 +523,9 @@ def _write(path, text):
     return str(path)
 
 
-def _softmax_checkpoint(copy):
-    """Replace the run's checkpoint by a library softmax-head model."""
-    topo = NetworkTopology((5, 4, 2), output_head="softmax")
-    M = topo.n_params
-    vp = VariationalParams(np.zeros(M), np.zeros(M), np.full(M, 0.5))
-    save_checkpoint(copy / "model.ckpt", topo, SpikeSlabPrior(0.5, 1.0, 0.1),
-                    vp)
+# the run's checkpoint with a header that names a softmax head
+_softmax_checkpoint = _rewrite_checkpoint(lambda raw: reframe(
+    raw, lambda header: header.update(output_head="softmax")))
 
 
 # each case: (run, tmp) -> argv, plus the text stderr must name
@@ -549,11 +564,11 @@ BAD_INPUTS = [
         "--config", _write(tmp / "head.conf", "head = softmax\n")],
         "unknown config key 'head'", id="train-head-softmax"),
     pytest.param(lambda run, tmp: _damaged_run(run, tmp, _softmax_checkpoint),
-        "model.ckpt: has a softmax head", id="prune-softmax-checkpoint"),
+        "model.ckpt: output_head 'softmax'", id="prune-softmax-checkpoint"),
     pytest.param(lambda run, tmp: [
         "importance", "--checkpoint", _damaged_run(
             run, tmp, _softmax_checkpoint)[-1]],
-        "model.ckpt: has a softmax head", id="importance-softmax-checkpoint"),
+        "model.ckpt: output_head 'softmax'", id="importance-softmax-checkpoint"),
     pytest.param(lambda run, tmp: _damaged_run(
         run, tmp, lambda copy: (copy / "run.json").write_text("{not json")),
         "run.json", id="run-json-malformed"),

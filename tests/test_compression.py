@@ -202,7 +202,7 @@ class TestFeatureImportance:
             assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
 
     def test_multi_output_head_rejected(self):
-        topo = NetworkTopology((2, 3, 4), output_head="softmax")
+        topo = NetworkTopology((2, 3, 4))
         vp = _state(
             np.zeros(topo.n_params), np.zeros(topo.n_params),
             np.ones(topo.n_params),

@@ -7,7 +7,6 @@ import pytest
 
 from sparsebnn import (
     Dataset,
-    Standardizer,
     SyntheticSpec,
     gen_sparse_regression,
     gen_two_feature,
@@ -191,12 +190,13 @@ class TestStandardizer:
         rmse_scaled = np.sqrt(np.mean((pred_std - std.y) ** 2)) * scaler.y_std
         assert rmse_direct == pytest.approx(rmse_scaled)
 
-    def test_classification_targets_pass_through(self):
-        rng = np.random.default_rng(18)
-        ds = Dataset(rng.normal(size=(40, 2)), rng.integers(0, 3, 40),
-                     ["a", "b"])
-        std = Standardizer.fit(ds).transform(ds)
-        assert np.array_equal(std.y, ds.y)
+
+class TestDataset:
+    def test_targets_are_float64_and_must_be_finite(self):
+        ds = Dataset(np.zeros((3, 1)), np.arange(3), ["a"])
+        assert ds.y.dtype == np.float64
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            Dataset(np.zeros((2, 1)), [1.0, np.nan], ["a"])
 
 
 class TestSplit:

@@ -223,3 +223,9 @@ def test_canonical_order_mismatch_rejected(folder, intact, mask_file):
     edited = reframe(raw, _replace("canonical_order", "column-major/v0"))
     _assert_rejected(folder, "order.bin", edited,
                      _load_mask if mask_file else _load_checkpoint)
+
+
+def test_output_head_other_than_identity_rejected(folder, intact):
+    # the library is regression-only; its writer always says "identity"
+    edited = reframe(intact["plain.ckpt"], _replace("output_head", "softmax"))
+    _assert_rejected(folder, "head.ckpt", edited, _load_checkpoint)

@@ -20,7 +20,12 @@ from sparsebnn import (
     nll,
     nll_grad,
 )
-from sparsebnn.network import flatten, unflatten
+from sparsebnn.network import unflatten
+
+
+def _pack(layers):
+    """Concatenate per-layer (W, b) pairs in the canonical layout."""
+    return np.concatenate([a.ravel() for W, b in layers for a in (W, b)])
 
 
 class TestTopology:
@@ -44,7 +49,7 @@ class TestTopology:
         rng = np.random.default_rng(7)
         topo = NetworkTopology((4, 3, 2, 1))
         w = rng.standard_normal(topo.n_params)
-        again = flatten(topo, unflatten(topo, w))
+        again = _pack(unflatten(topo, w))
         assert np.array_equal(w, again)
 
 
@@ -83,13 +88,6 @@ class TestForward:
             forward(topo, np.zeros(5), np.zeros((4, 3)))
         assert err.value.expected == (topo.n_params,)
 
-    def test_trace_replay_reproduces_outputs_exactly(self):
-        rng = np.random.default_rng(3)
-        topo = NetworkTopology((2, 4, 1), hidden_activation="tanh")
-        w = rng.standard_normal(topo.n_params)
-        out, trace = forward(topo, w, rng.standard_normal((5, 2)))
-        assert np.array_equal(trace.replay(), out)
-
     def test_determinism_within_process(self):
         rng = np.random.default_rng(5)
         topo = NetworkTopology((4, 6, 3, 1))
@@ -108,10 +106,8 @@ class TestForward:
             (rng.standard_normal((2, 5)), rng.standard_normal(5)),
             (rng.standard_normal((5, 1)), np.zeros(1)),
         ]
-        w = flatten(topo, layers)
-        doubled = flatten(
-            topo, [(2.0 * layers[0][0], 2.0 * layers[0][1]), layers[1]]
-        )
+        w = _pack(layers)
+        doubled = _pack([(2.0 * layers[0][0], 2.0 * layers[0][1]), layers[1]])
         x = rng.standard_normal((7, 2))
         out, _ = forward(topo, w, x)
         out2, _ = forward(topo, doubled, x)
@@ -120,12 +116,8 @@ class TestForward:
 
 class TestNll:
     def test_zero_residual_regression(self):
-        value = nll("identity", np.array([[1.5]]), np.array([1.5]), 1.0)
+        value = nll(np.array([[1.5]]), np.array([1.5]), 1.0)
         assert value == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-15)
-
-    def test_uniform_softmax_two_classes(self):
-        value = nll("softmax", np.array([[0.0, 0.0]]), np.array([0]))
-        assert value == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_regression_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(21)
@@ -137,39 +129,24 @@ class TestNll:
             for o, t in zip(outputs.ravel(), targets.ravel())
         ]
         oracle = math.fsum(terms)
-        assert nll("identity", outputs, targets, v) == pytest.approx(
+        assert nll(outputs, targets, v) == pytest.approx(
             oracle, rel=1e-10
-        )
-
-    def test_softmax_matches_term_by_term_oracle(self):
-        rng = np.random.default_rng(22)
-        outputs = rng.standard_normal((40, 5)) * 8.0
-        targets = rng.integers(0, 5, 40)
-        terms = []
-        for row, t in zip(outputs, targets):
-            lse = math.log(math.fsum(math.exp(v - row.max()) for v in row))
-            terms.append(row.max() + lse - row[t])
-        assert nll("softmax", outputs, targets) == pytest.approx(
-            math.fsum(terms), rel=1e-10
         )
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError, match="noise_variance"):
-            nll("identity", np.zeros((2, 1)), np.zeros(2), 0.0)
-
-    def test_class_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            nll("softmax", np.zeros((2, 3)), np.array([0, 3]))
+            nll(np.zeros((2, 1)), np.zeros(2), 0.0)
 
     def test_nll_grad_matches_finite_differences(self):
         rng = np.random.default_rng(30)
         outputs = rng.standard_normal((6, 3))
-        targets = rng.integers(0, 3, 6)
+        targets = rng.standard_normal((6, 3))
+        v = 0.7
 
         def f(flat):
-            return nll("softmax", flat.reshape(6, 3), targets)
+            return nll(flat.reshape(6, 3), targets, v)
 
-        grad = nll_grad("softmax", outputs, targets)
+        grad = nll_grad(outputs, targets, v)
         assert_grad_close(grad.ravel(), central_difference(f, outputs.ravel()))
 
 

@@ -340,7 +340,7 @@ class TestObjectiveEstimate:
         manual = 0.0
         for d in draws:
             out, _ = forward(topo, sample_weights(vp, d), x)
-            manual += nll("identity", out, y)
+            manual += nll(out, y)
         manual /= 3
         manual += float(
             np.sum(penalty_R(vp.m, vp.sigma, vp.p, prior))
@@ -366,7 +366,7 @@ class TestObjectiveEstimate:
             w = vp.m.copy()
             w[0] = w0
             out, _ = forward(topo, w, x)
-            return nll("identity", out, y)
+            return nll(out, y)
 
         target, _ = quad(
             lambda w0: nll_at(w0)

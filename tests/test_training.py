@@ -25,7 +25,6 @@ from sparsebnn import (
     standardize_fit_apply,
     train,
 )
-from sparsebnn.training import predict_proba
 
 
 class TestMinibatchWeights:
@@ -383,25 +382,6 @@ def test_divergence_aborts_alike_with_diagnostics_off(
     assert aborts[0] == aborts[1]
 
 
-def test_softmax_head_learns_integer_labels():
-    # three classes cut from a noisy linear score; the largest holds 39%
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((300, 2))
-    score = x[:, 0] + 0.5 * x[:, 1] + 0.3 * rng.standard_normal(300)
-    labels = np.digitize(score, [-0.6, 0.4])
-    ds = Dataset(x, labels, ["a", "b"])
-    topo = NetworkTopology((2, 8, 3), output_head="softmax")
-    report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
-                   TrainConfig(epochs=60, batch_size=32, seed=5))
-    proba = predict_proba(topo, report.params, ds.X)
-    assert proba.shape == (300, 3)
-    np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    error = np.mean(proba.argmax(axis=1) != labels)
-    majority = 1.0 - np.bincount(labels).max() / len(labels)
-    assert error < majority
-    assert report.train_loss[-1] == error
-
-
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
 def test_epoch_loss_pass_equals_public_predict_bit_for_bit(activation):
     # the loss pass writes into the run's buffers and activates in place;
@@ -412,19 +392,6 @@ def test_epoch_loss_pass_equals_public_predict_bit_for_bit(activation):
                    TrainConfig(epochs=3, batch_size=64, seed=6))
     pred = predict(topo, report.params, ds.X)
     assert report.train_loss[-1] == float(np.mean((pred - ds.y[:, None]) ** 2))
-
-
-def test_softmax_epoch_loss_is_predict_argmax_error_rate():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((200, 3))
-    labels = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
-    ds = Dataset(x, labels, ["a", "b", "c"])
-    topo = NetworkTopology((3, 6, 3), output_head="softmax")
-    report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
-                   TrainConfig(epochs=3, batch_size=50, seed=2))
-    outputs = predict(topo, report.params, ds.X)
-    assert report.train_loss[-1] == float(
-        np.mean(outputs.argmax(axis=1) != labels))
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
