@@ -3,7 +3,10 @@
 Subcommands: train, prune, importance, select, benchmark, gradcheck.
 Option precedence is CLI > config file > built-in defaults; the config
 file is flat ``key = value`` text using the long option names with
-underscores.  ``train`` leaves three artifacts in the output directory:
+underscores.  ``DEFAULTS`` is the one table of the shared options, and
+:func:`_coerce` converts each of their values, from any source, to the
+type of its default.  ``train`` leaves three artifacts in the output
+directory:
 
     model.ckpt     binary checkpoint (see sparsebnn.checkpoint)
     metrics.jsonl  one JSON object per epoch
@@ -13,6 +16,7 @@ The other subcommands locate ``run.json`` next to a checkpoint to rebuild
 the exact dataset, split, and standardization of the original run, so a
 saved configuration re-executes to identical outputs.  ``benchmark``
 repeat r uses seed ``seed + r`` and split seed ``split_seed + r``.
+Every CSV table goes through one writer, :func:`_write_table`.
 
 Every model is a regression network scored by test RMSE.  A checkpoint
 whose header names an ``output_head`` other than ``"identity"`` is
@@ -53,9 +57,11 @@ from .datasets import (
     standardize_fit_apply,
 )
 from .gradcheck import variance_comparison
-from .network import NetworkTopology
+from .network import HIDDEN_ACTIVATIONS, NetworkTopology
 from .svi import SpikeSlabPrior
-from .training import NumericalAbort, TrainConfig, predict, train
+from .training import (
+    KL_SCHEDULES, OPTIMIZERS, NumericalAbort, TrainConfig, predict, train,
+)
 
 SCHEMA_VERSION = 1
 
@@ -155,7 +161,8 @@ def _read_config_file(path) -> dict:
 
 
 def _coerce(key, value, source):
-    """``value`` as option ``key``'s type.
+    """``value`` as the type of option ``key``'s default; ``split_seed``
+    is an int and a key without a default (run.json's ``data``) a str.
 
     A value that does not convert raises ConfigError naming the key and
     ``source``, where the value came from.
@@ -164,19 +171,16 @@ def _coerce(key, value, source):
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes")
+    kind = int if key == "split_seed" else type(DEFAULTS.get(key, ""))
     try:
-        if key in ("seed", "split_seed", "epochs", "batch", "mc_samples"):
-            return int(value)
-        if isinstance(DEFAULTS.get(key), float):
-            return float(value)
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {key} = {value!r}: {exc}") from None
-    return str(value)
 
 
-def resolve_options(args, keys) -> dict:
-    """Merge defaults, config file, and explicit CLI values for ``keys``."""
-    merged = {k: DEFAULTS[k] for k in keys}
+def resolve_options(args) -> dict:
+    """Merge defaults, config file, and explicit CLI values."""
+    merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         file_conf = _read_config_file(config_path)
@@ -188,12 +192,12 @@ def resolve_options(args, keys) -> dict:
             if k not in merged:
                 raise ConfigError(f"unknown config key {k!r}")
             merged[k] = _coerce(k, v, config_path)
-    for k in keys:
+    for k in DEFAULTS:
         cli_val = getattr(args, k, None)
         if cli_val is not None:
             merged[k] = _coerce(k, cli_val, "--" + k.replace("_", "-"))
-    if merged.get("split_seed") is None:
-        merged["split_seed"] = merged.get("seed", 0)
+    if merged["split_seed"] is None:
+        merged["split_seed"] = merged["seed"]
     return merged
 
 
@@ -242,16 +246,27 @@ def _test_rmse(topology, vp, test_ds, scaler) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
+def _write_table(path, header, rows) -> None:
+    """Write ``rows`` under ``header`` as CSV, each with a trailing
+    ``schema_version`` column, and say where."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*header, "schema_version"])
+        writer.writerows([*row, SCHEMA_VERSION] for row in rows)
+    print(f"wrote {path}")
+
+
 def cmd_train(args) -> int:
-    opts = resolve_options(args, DEFAULTS.keys())
+    opts = resolve_options(args)
     if args.data is None:
         raise ConfigError("train requires --data")
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, _, _ = _split(build_dataset(args.data), opts)
     topology = _topology_from(opts, train_ds.n_features)
     prior = _prior_from(opts)
     config = _train_config_from(opts)
+    # only once every option is accepted, so a rejected run leaves no dir
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = train(topology, prior, train_ds, config)
 
     save_checkpoint(out_dir / "model.ckpt", topology, prior, report.params)
@@ -340,13 +355,8 @@ def cmd_prune(args) -> int:
     topology, _, vp, _, _, test_ds, scaler = _reload(args)
     rates = _parse_droprates(args.droprates)
     out_path = Path(args.out or Path(args.checkpoint).parent / "prune.csv")
-    rows = _sweep(topology, vp, rule, rates, test_ds, scaler)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["droprate", "sparsity", "test_rmse",
-                         "schema_version"])
-        writer.writerows([*row, SCHEMA_VERSION] for row in rows)
-    print(f"wrote {out_path}")
+    _write_table(out_path, ("droprate", "sparsity", "test_rmse"),
+                 _sweep(topology, vp, rule, rates, test_ds, scaler))
     return 0
 
 
@@ -355,13 +365,8 @@ def cmd_importance(args) -> int:
     psi = feature_importance_psi(topology, vp)
     phi = feature_importance_phi(psi)
     out_path = Path(args.out or Path(args.checkpoint).parent / "importance.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "psi", "phi", "schema_version"])
-        for j in range(psi.size):
-            writer.writerow([j, repr(float(psi[j])), repr(float(phi[j])),
-                             SCHEMA_VERSION])
-    print(f"wrote {out_path}")
+    _write_table(out_path, ("feature", "psi", "phi"),
+                 zip(range(psi.size), psi.tolist(), phi.tolist()))
     return 0
 
 
@@ -412,7 +417,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    opts = resolve_options(args, DEFAULTS.keys())
+    opts = resolve_options(args)
     entries = load_manifest(args.manifest)
     # None unless the command line or the config file names them
     rates = _parse_droprates(
@@ -439,45 +444,26 @@ def cmd_benchmark(args) -> int:
         for i, (rate, sparse, _) in enumerate(sweeps[0]):
             vals = np.array([sweep[i][2] for sweep in sweeps])
             se = (vals.std(ddof=1) / np.sqrt(repeats)) if repeats > 1 else 0.0
-            rows.append({
-                "dataset": entry["name"],
-                "droprate": rate,
-                "sparsity": sparse,
-                "rmse_mean": float(vals.mean()),
-                "rmse_se": float(se),
-                "repeats": repeats,
-                "seed": opts["seed"],
-                "schema_version": SCHEMA_VERSION,
-            })
-    out_path = Path(args.out or "benchmark.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out_path}")
+            rows.append((entry["name"], rate, sparse, float(vals.mean()),
+                         float(se), repeats, opts["seed"]))
+    _write_table(Path(args.out or "benchmark.csv"),
+                 ("dataset", "droprate", "sparsity", "rmse_mean", "rmse_se",
+                  "repeats", "seed"), rows)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    settings = [(m, s, 0.5, 1.0, 0.1)
+                for m in (-1.0, 0.0, 0.5, 2.0) for s in (0.3, 1.0)]
     if args.settings:
-        settings = []
-        for block in args.settings.split(";"):
-            vals = [float(t) for t in block.split(",")]
-            if len(vals) != 5:
-                raise ConfigError(
-                    "each gradcheck setting needs m,sigma,pi,tau1,tau0"
-                )
-            settings.append(tuple(vals))
-    else:
-        settings = [
-            (m, s, 0.5, 1.0, 0.1)
-            for m in (-1.0, 0.0, 0.5, 2.0)
-            for s in (0.3, 1.0)
-        ]
-    out_path = Path(args.out or "gradcheck.csv")
-    variance_comparison(settings, draws=int(args.draws),
-                        seed=int(args.seed or 0), out_csv=out_path)
-    print(f"wrote {out_path}")
+        settings = [[float(t) for t in block.split(",")]
+                    for block in args.settings.split(";")]
+        if any(len(vals) != 5 for vals in settings):
+            raise ConfigError(
+                "each gradcheck setting needs m,sigma,pi,tau1,tau0")
+    rows = variance_comparison(settings, draws=args.draws, seed=args.seed)
+    _write_table(Path(args.out or "gradcheck.csv"), rows[0],
+                 [row.values() for row in rows])
     return 0
 
 
@@ -489,24 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    choices = {"activation": HIDDEN_ACTIVATIONS, "optimizer": OPTIMIZERS,
+               "kl_schedule": KL_SCHEDULES}
+    helps = {"hidden": "comma-separated hidden sizes"}
+
     def add_common(p):
+        # untyped: resolve_options converts each value with _coerce
         p.add_argument("--config", help="flat key=value option file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--prior-pi", dest="prior_pi", type=float)
-        p.add_argument("--log-tau1", dest="log_tau1", type=float)
-        p.add_argument("--log-tau0", dest="log_tau0", type=float)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--mc-samples", dest="mc_samples", type=int)
-        p.add_argument("--optimizer", choices=("sgd", "adam"))
-        p.add_argument("--kl-schedule", dest="kl_schedule",
-                       choices=("uniform", "blundell"))
-        p.add_argument("--hidden", help="comma-separated hidden sizes")
-        p.add_argument("--activation", choices=("relu", "tanh", "identity"))
-        p.add_argument("--noise-variance", dest="noise_variance", type=float)
-        p.add_argument("--train-frac", dest="train_frac", type=float)
-        p.add_argument("--split-seed", dest="split_seed", type=int)
+        for key in DEFAULTS:
+            if key != "standardize":  # set only from a config file
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               choices=choices.get(key), help=helps.get(key))
         p.add_argument("--out")
 
     p_train = sub.add_parser("train", help="fit a model and save artifacts")

@@ -18,7 +18,6 @@ checks free of Monte-Carlo-versus-Monte-Carlo ambiguity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,25 +164,17 @@ def bbb_grad_sigma2(m, sigma, prior: SpikeSlabPrior, draws: int,
     )
 
 
-def variance_comparison(settings, draws: int = 100_000, seed: int = 0,
-                        out_csv=None):
-    """Closed-form vs sampled gradients across settings, optionally as CSV.
+def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
+    """Closed-form vs sampled gradients as rows (dicts); writes no file.
 
-    ``settings`` is an iterable of (m, sigma, pi, tau1, tau0) tuples or
-    dicts with those keys.  One row per setting, carrying both gradients;
-    the closed-form estimator is deterministic, so its variance columns
-    are identically zero.  p is set to its closed-form optimum.
+    ``settings`` is an iterable of (m, sigma, pi, tau1, tau0) tuples.  One
+    row per setting, carrying both gradients; the closed-form estimator is
+    deterministic, so its variance columns are identically zero.  p is set
+    to its closed-form optimum.
     """
     rows = []
-    for k, setting in enumerate(settings):
-        if isinstance(setting, dict):
-            m, sigma = setting["m"], setting["sigma"]
-            prior = SpikeSlabPrior(
-                setting["pi"], setting["tau1"], setting["tau0"]
-            )
-        else:
-            m, sigma, pi, tau1, tau0 = setting
-            prior = SpikeSlabPrior(pi, tau1, tau0)
+    for k, (m, sigma, pi, tau1, tau0) in enumerate(settings):
+        prior = SpikeSlabPrior(pi, tau1, tau0)
         p_star = optimal_p(m, sigma, prior)
         closed_m, closed_s2 = grad_penalty(m, sigma, p_star, prior)
         rep_m = bbb_grad_m(m, sigma, prior, draws, seed + 2 * k)
@@ -210,11 +201,4 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0,
                 f"quadrature_reference_{which}": rep.reference,
             })
         rows.append(row)
-    if out_csv is not None:
-        fieldnames = list(rows[0].keys()) + ["schema_version"]
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({**row, "schema_version": 1})
     return rows

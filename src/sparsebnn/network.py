@@ -104,15 +104,6 @@ def layer_slices(topology: NetworkTopology):
     return tuple(out)
 
 
-def unflatten(topology: NetworkTopology, w: np.ndarray):
-    """Views (W_l, b_l) into the flat parameter vector, layer 1..L+1."""
-    w = _check_params(topology, w)
-    return [
-        (w[w_sl].reshape(shape), w[b_sl])
-        for w_sl, shape, b_sl in layer_slices(topology)
-    ]
-
-
 def _check_params(topology, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (topology.n_params,):

@@ -30,9 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# forward is not called here, but sparsebnn.svi.forward stays importable
 from .network import (
     ShapeMismatch, _check_inputs, _check_params, _forward, _nll_and_grad,
-    backward, forward, nll,
+    backward, forward,
 )
 
 # SeedSequence splits an int past this into several 32-bit words
@@ -146,12 +147,17 @@ def dsigma_drho(rho):
     return _expit(rho)
 
 
-def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
-    """Pathwise sample W = m + softplus(rho) * eps; pruned entries stay 0."""
+def _noise(vp: VariationalParams, eps) -> np.ndarray:
+    """The checked standard-normal vector of a NoiseDraw or an array."""
     e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)
     if e.shape != vp.m.shape:
         raise ShapeMismatch("noise draw", vp.m.shape, e.shape)
-    w = vp.m + vp.sigma * e
+    return e
+
+
+def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
+    """Pathwise sample W = m + softplus(rho) * eps; pruned entries stay 0."""
+    w = vp.m + vp.sigma * _noise(vp, eps)
     if vp.active is not None:
         w = np.where(vp.active, w, 0.0)
     return w
@@ -243,22 +249,32 @@ def objective_estimate(
 
     Averages the NLL over ``mc_samples`` pathwise draws and adds
     ``kl_weight * sum_i R_i``; ``kl_weight`` carries the minibatch share
-    of the penalty and must lie in (0, 1].
+    of the penalty and must lie in (0, 1].  Each draw runs through
+    :func:`_draw_step`.
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    if not 0.0 < kl_weight <= 1.0:
-        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
+    x, sigma, terms = _checked_step(topology, vp, prior, x, kl_weight)
     draws = _resolve_draws(len(vp), mc_samples, noise, seed)
     nll_sum = 0.0
     for draw in draws:
-        w = sample_weights(vp, draw)
-        outputs, _ = forward(topology, w, x)
-        nll_sum += nll(outputs, y, noise_variance)
-    return nll_sum / len(draws) + kl_weight * penalty_total(vp, prior)
+        nll_sum += _draw_step(topology, vp, sigma, terms, x, y,
+                              _noise(vp, draw), noise_variance)[2]
+    return (nll_sum / len(draws)
+            + kl_weight * penalty_total(vp, prior, sigma=sigma))
+
+
+def _checked_step(topology, vp: VariationalParams, prior, x, kl_weight):
+    """Check ``kl_weight``, the parameters and the non-empty input batch;
+    return (x, sigma, :func:`_penalty_terms`)."""
+    if not 0.0 < kl_weight <= 1.0:
+        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
+    _check_params(topology, vp.m)
+    x = _check_inputs(topology, x)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    sigma = vp.sigma
+    return x, sigma, _penalty_terms(vp, prior, sigma, kl_weight)
 
 
 def _penalty_terms(vp: VariationalParams, prior, sigma, kl_weight):
@@ -311,17 +327,7 @@ def step_gradients(
     eps / (1 + e^-rho); the penalty contributes its closed-form gradients,
     with dR/d rho = dR/d sigma^2 * 2 sigma * dsigma/drho.
     """
-    if not 0.0 < kl_weight <= 1.0:
-        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
-    _check_params(topology, vp.m)
-    x = _check_inputs(topology, x)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)
-    if e.shape != vp.m.shape:
-        raise ShapeMismatch("noise draw", vp.m.shape, e.shape)
-    sigma = vp.sigma
-    terms = _penalty_terms(vp, prior, sigma, kl_weight)
-    grad_m, grad_rho, _ = _draw_step(topology, vp, sigma, terms, x, y, e,
-                                     noise_variance)
+    x, sigma, terms = _checked_step(topology, vp, prior, x, kl_weight)
+    grad_m, grad_rho, _ = _draw_step(topology, vp, sigma, terms, x, y,
+                                     _noise(vp, eps), noise_variance)
     return grad_m, grad_rho

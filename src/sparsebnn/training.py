@@ -49,6 +49,7 @@ from .svi import (
     VariationalParams,
     _draw_step,
     _penalty_terms,
+    _resolve_draws,
     optimal_p,
     penalty_total,
     sample_weights,
@@ -114,7 +115,6 @@ class TrainReport:
     train_loss: Optional[np.ndarray]
     wall_ms: np.ndarray
     params: VariationalParams
-    config: TrainConfig = None
     draw_count: int = 0
 
 
@@ -326,7 +326,7 @@ def train(
     return TrainReport(
         objective=objective if diagnostics else None,
         train_loss=train_loss if diagnostics else None, wall_ms=wall_ms,
-        params=vp, config=config, draw_count=draw_index,
+        params=vp, draw_count=draw_index,
     )
 
 
@@ -342,7 +342,8 @@ def predict(
     """Network outputs at the posterior mean or averaged over weight samples.
 
     mode "mean" evaluates at W = m (pruned entries zero); mode "mc"
-    averages the forward outputs of ``samples`` pathwise draws.
+    averages the forward outputs of ``samples`` pathwise draws, which
+    ``noise``, if given, must hold.
     """
     if mode == "mean":
         out, _ = forward(topology, _mean_weights(vp), x)
@@ -350,11 +351,7 @@ def predict(
     if mode == "mc":
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
-        draws = noise
-        if draws is None:
-            draws = [NoiseDraw.draw(len(vp), seed, s) for s in range(samples)]
-        elif isinstance(draws, NoiseDraw):
-            draws = [draws]
+        draws = _resolve_draws(len(vp), samples, noise, seed)
         acc = None
         for draw in draws:
             out, _ = forward(topology, sample_weights(vp, draw), x)

@@ -23,7 +23,7 @@ from sparsebnn import (
     standardize_fit_apply,
     train,
 )
-from sparsebnn.cli import build_dataset, main
+from sparsebnn.cli import DEFAULTS, build_dataset, main
 
 FAST = [
     "--epochs", "15", "--batch", "64", "--hidden", "6",
@@ -96,6 +96,19 @@ class TestTrainCommand:
         assert run["epochs"] == 3      # CLI beats the file
         assert run["lr"] == 0.02       # file beats the default
         assert run["hidden"] == "4"
+
+    @pytest.mark.parametrize("argv, conf", [
+        ([], "optimizer = rmsprop\n"),
+        (["--hidden", "a"], ""),
+    ], ids=["config-optimizer-rmsprop", "hidden-a"])
+    def test_rejected_option_leaves_no_output_dir(self, tmp_path, argv,
+                                                  conf):
+        out = tmp_path / "never"
+        code = main(["train", "--data", "two_feature:alpha=0.3,n=60,seed=2",
+                     "--config", _write(tmp_path / "r.conf", conf),
+                     "--out", str(out), *argv])
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
@@ -273,14 +286,19 @@ class TestSelectCommand:
         assert "keep_quantile" in capsys.readouterr().err
 
 
-# SHA-256 of two fixed-seed CLI outputs: a `select --cv` JSON report and a
-# `benchmark --repeats 2` CSV.  Like the golden runs in test_golden.py they
+# SHA-256 of four fixed-seed CLI outputs: a `select --cv` JSON report, a
+# `benchmark --repeats 2` CSV, the run.json of `_train`'s run and a
+# `gradcheck --draws 2000` CSV.  Like the golden runs in test_golden.py they
 # were recorded with numpy 2.4.6 on x86-64 and may round differently on
 # another numpy, BLAS or CPU.
 SELECT_CV_SHA256 = (
     "4601c1448986670a5970325b426f24f846dfd55824540bf8cde2b6f9f91a3b80")
 BENCHMARK_SHA256 = (
     "e083ffb39b5e543e50f1920269a0a665ba8b49b1e38d97b54f47b32a7cabe7d7")
+RUN_JSON_SHA256 = (
+    "5455a6036db6d11d6f5b43434646361ba76e9b7feb95041eec110a7542cf95e2")
+GRADCHECK_SHA256 = (
+    "10548f5f623daca2004e509411ef723911108d3d80e4ce44b488bde8356c341f")
 # SHA-256 of the artifacts of `_train`'s run, then `prune` (default rule and
 # droprates) and `importance` on its checkpoint; same provenance as above.
 PIPELINE_SHA256 = {
@@ -299,6 +317,7 @@ def _sha256(path):
 
 def test_train_prune_importance_bytes_are_pinned(tmp_path):
     out = _train(tmp_path)
+    assert _sha256(out / "run.json") == RUN_JSON_SHA256
     ckpt = str(out / "model.ckpt")
     assert main(["prune", "--checkpoint", ckpt]) == 0
     assert main(["importance", "--checkpoint", ckpt]) == 0
@@ -464,6 +483,7 @@ class TestGradcheckCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         assert all(float(r["closed_form_variance_m"]) == 0.0 for r in rows)
+        assert _sha256(out) == GRADCHECK_SHA256
 
     def test_explicit_settings(self, tmp_path):
         out = tmp_path / "grad2.csv"
@@ -473,9 +493,10 @@ class TestGradcheckCommand:
              "--out", str(out)]
         )
         assert code == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 2  # one header, one line per setting
+        assert "schema_version" in lines[0]
+        assert "mc_variance_sigma2" in lines[0]
 
     def test_malformed_settings_exit_2(self, tmp_path, capsys):
         code = main(["gradcheck", "--settings", "1,2,3",
@@ -554,6 +575,12 @@ BAD_INPUTS = [
         "--config", _write(tmp / "run.conf", "epochs = two\n")],
         "run.conf: epochs = 'two'", id="config-epochs-two"),
     pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--epochs", "two", "--out", str(tmp / "x")],
+        "--epochs: epochs = 'two'", id="cli-epochs-two"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--seed", "x", "--out", str(tmp / "x")],
+        "--seed: seed = 'x'", id="cli-seed-x"),
+    pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--hidden", "a", "--out", str(tmp / "x")],
         "'a'", id="train-hidden-a"),
     pytest.param(lambda run, tmp: [
@@ -608,6 +635,19 @@ def test_head_option_is_gone(tmp_path):
         main(["train", "--data", BAD_DATA, "--head", "identity",
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    "train", "prune", "importance", "select", "benchmark", "gradcheck"])
+def test_help_exits_0_and_lists_the_shared_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    if command in ("train", "benchmark"):
+        text = capsys.readouterr().out
+        for key in DEFAULTS:
+            assert (f"--{key.replace('_', '-')} " in text) == (
+                key != "standardize"), key
 
 
 def test_run_json_with_head_key_still_loads(bad_input_run, tmp_path):

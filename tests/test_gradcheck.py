@@ -11,6 +11,7 @@ from sparsebnn import (
     bbb_grad_sigma2,
     variance_comparison,
 )
+from sparsebnn.cli import _write_table
 from sparsebnn.gradcheck import (
     log_responsibilities,
     reference_grad_m,
@@ -196,11 +197,13 @@ class TestVarianceComparison:
         assert 1.5 < ratio < 2.7
 
     def test_csv_output(self, tmp_path):
+        # the rows as the gradcheck command writes them
         path = tmp_path / "cmp.csv"
         rows = variance_comparison(
             [(0.5, 0.4, 0.5, 1.0, 0.2), (1.0, 0.3, 0.4, 1.5, 0.1)],
-            draws=1000, out_csv=path,
+            draws=1000,
         )
+        _write_table(path, rows[0], [row.values() for row in rows])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(rows) + 1
         assert "schema_version" in lines[0]

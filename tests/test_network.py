@@ -20,7 +20,7 @@ from sparsebnn import (
     nll,
     nll_grad,
 )
-from sparsebnn.network import unflatten
+from sparsebnn.network import layer_slices
 
 
 def _pack(layers):
@@ -45,12 +45,18 @@ class TestTopology:
         with pytest.raises(ValueError, match="hidden_activation"):
             NetworkTopology((3, 2, 1), hidden_activation="selu")
 
-    def test_flatten_unflatten_roundtrip_is_bit_exact(self):
-        rng = np.random.default_rng(7)
+    def test_layer_slices_tile_the_vector_in_canonical_order(self):
         topo = NetworkTopology((4, 3, 2, 1))
-        w = rng.standard_normal(topo.n_params)
-        again = _pack(unflatten(topo, w))
-        assert np.array_equal(w, again)
+        slices = layer_slices(topo)
+        assert len(slices) == topo.n_affine_layers
+        offset = 0
+        for (w_sl, shape, b_sl), fan_in, fan_out in zip(
+                slices, topo.layer_sizes[:-1], topo.layer_sizes[1:]):
+            assert shape == (fan_in, fan_out)
+            assert (w_sl.start, w_sl.stop) == (offset, offset + fan_in * fan_out)
+            assert (b_sl.start, b_sl.stop) == (w_sl.stop, w_sl.stop + fan_out)
+            offset = b_sl.stop
+        assert offset == topo.n_params
 
 
 class TestForward:

@@ -213,6 +213,12 @@ class TestPredict:
         mean = predict(topo, vp, x, mode="mean")
         assert np.abs(mc - mean).max() < 0.02  # ~4 standard errors
 
+    def test_noise_draw_count_must_match_samples(self):
+        topo, vp, x = self._state()
+        with pytest.raises(ValueError, match="expected 5 noise draws, got 1"):
+            predict(topo, vp, x, mode="mc", samples=5,
+                    noise=[NoiseDraw.draw(len(vp), 3)])
+
     def test_zero_parameters_give_zero_mean_prediction(self):
         topo, _, x = self._state()
         vp = VariationalParams(
