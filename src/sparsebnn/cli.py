@@ -312,18 +312,24 @@ def _reload(args):
     return topology, prior, vp, run, train_ds, test_ds, scaler
 
 
-def _parse_droprates(text) -> list[float]:
-    """Percentages (values > 1) or fractions, returned as sorted fractions."""
-    rates = []
+def _parse_numbers(text, what) -> list[float]:
+    """The comma-separated numbers in ``text``, empty tokens skipped; a
+    token that is not a number raises ConfigError naming ``what``."""
+    values = []
     for tok in str(text).split(","):
         tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            val = float(tok)
-        except ValueError as exc:
-            raise ConfigError(f"droprate {tok!r} is not a number") from exc
-        rates.append(val / 100.0 if val > 1.0 else val)
+        if tok:
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ConfigError(f"{what} {tok!r} is not a number") from None
+    return values
+
+
+def _parse_droprates(text) -> list[float]:
+    """Percentages (values > 1) or fractions, returned as sorted fractions."""
+    rates = [val / 100.0 if val > 1.0 else val
+             for val in _parse_numbers(text, "droprate")]
     if not rates:
         raise ConfigError("droprates must name at least one rate")
     if any(not 0.0 <= r < 1.0 for r in rates):
@@ -378,10 +384,8 @@ def cmd_select(args) -> int:
         proportion = cv_threshold(
             topology, prior, train_ds, retrain,
             folds=args.folds,
-            candidate_proportions=(
-                [float(t) for t in args.grid.split(",")]
-                if args.grid else None
-            ),
+            candidate_proportions=(_parse_numbers(args.grid, "--grid value")
+                                   if args.grid else None),
             seed=run["seed"],
         )
         # a full-keep proportion (quantile 0) means no thresholding

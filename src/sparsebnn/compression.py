@@ -22,15 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import read_framed, write_framed
 from .datasets import Dataset, kfold_indices
 from .network import NetworkTopology, layer_slices
 from .svi import SpikeSlabPrior, VariationalParams
 from .training import TrainConfig, TrainReport, predict, train
 
 RANK_RULES = ("inclusion_p", "second_moment", "snr")
-
-MASK_MAGIC = b"SSBNNMK1"
 
 
 @dataclass
@@ -40,33 +37,6 @@ class PruneMask:
     keep: np.ndarray
     rule: str
     droprate: float
-
-    def __post_init__(self):
-        self.keep = np.asarray(self.keep, dtype=bool)
-        if self.rule not in RANK_RULES:
-            raise ValueError(f"rule must be one of {RANK_RULES}")
-        if not 0.0 <= self.droprate < 1.0:
-            raise ValueError(f"droprate must lie in [0, 1), got {self.droprate}")
-
-    def save(self, path) -> None:
-        """Write the mask file documented in :mod:`sparsebnn.checkpoint`."""
-        write_framed(path, MASK_MAGIC,
-                     {"rule": self.rule, "droprate": self.droprate},
-                     _mask_layout, [self.keep])
-
-    @classmethod
-    def load(cls, path) -> "PruneMask":
-        header, (keep,) = read_framed(path, MASK_MAGIC, {
-            "rule": str, "droprate": (int, float)}, _mask_layout)
-        try:
-            return cls(keep=keep.astype(bool), rule=header["rule"],
-                       droprate=header["droprate"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _mask_layout(header):
-    return [("keep", "u1", (0, 1))]
 
 
 def rank_score(vp: VariationalParams, rule: str) -> np.ndarray:
@@ -273,7 +243,8 @@ def cv_threshold(
     if candidate_proportions is None:
         candidate_proportions = np.round(np.arange(0.05, 1.0001, 0.05), 2)
     grid = np.sort(np.asarray(candidate_proportions, dtype=float))
-    if grid.size == 0 or grid.min() <= 0.0 or grid.max() > 1.0:
+    # NaN fails both comparisons, so it is rejected too
+    if grid.size == 0 or not np.all((grid > 0.0) & (grid <= 1.0)):
         raise ValueError("candidate proportions must lie in (0, 1]")
     fold_err = np.zeros((folds, grid.size))
     for k, (tr_idx, va_idx) in enumerate(

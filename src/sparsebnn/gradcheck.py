@@ -24,6 +24,8 @@ import numpy as np
 
 from .svi import SpikeSlabPrior, grad_penalty, optimal_p
 
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
 
 @dataclass
 class EstimatorReport:
@@ -122,8 +124,8 @@ def bbb_grad_m(m, sigma, prior: SpikeSlabPrior, draws: int,
     closed-form inclusion probability; the two coincide only at
     self-consistent optima, so they are reported, not asserted equal.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    if draws < 2:  # the standard error (ddof=1) needs two draws
+        raise ValueError(f"draws must be >= 2, got {draws}")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(draws)
     w = m + sigma * eps
@@ -145,8 +147,8 @@ def bbb_grad_sigma2(m, sigma, prior: SpikeSlabPrior, draws: int,
     The extras record the empirical means of (m/sigma) eps + eps^2 and of
     (eps^2 - 1) + (m/sigma) eps, whose exact expectations are 1 and 0.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2, got {draws}")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(draws)
     values = _grad_sigma2_at(eps, m, sigma, prior)
@@ -170,10 +172,18 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
     ``settings`` is an iterable of (m, sigma, pi, tau1, tau0) tuples.  One
     row per setting, carrying both gradients; the closed-form estimator is
     deterministic, so its variance columns are identically zero.  p is set
-    to its closed-form optimum.
+    to its closed-form optimum.  A setting whose m is not finite, or whose
+    sigma is not > 0 with sigma^2 a finite, normal float (the estimators
+    divide by it), raises ValueError naming the setting's index.
     """
     rows = []
     for k, (m, sigma, pi, tau1, tau0) in enumerate(settings):
+        if not np.isfinite(m):
+            raise ValueError(f"gradcheck setting {k}: m = {m!r} is not finite")
+        if not (sigma > 0 and _TINY <= sigma * sigma <= _HUGE):
+            raise ValueError(f"gradcheck setting {k}: sigma = {sigma!r} must "
+                             "be > 0, and sigma^2 must neither underflow nor "
+                             "overflow")
         prior = SpikeSlabPrior(pi, tau1, tau0)
         p_star = optimal_p(m, sigma, prior)
         closed_m, closed_s2 = grad_penalty(m, sigma, p_star, prior)

@@ -121,10 +121,6 @@ class NoiseDraw:
         rng = np.random.default_rng(key)
         return cls(eps=rng.standard_normal(size), seed=seed, index=index)
 
-    @classmethod
-    def zeros(cls, size: int) -> "NoiseDraw":
-        return cls(eps=np.zeros(size), seed=-1, index=-1)
-
 
 def _expit(x):
     """Logistic 1 / (1 + e^-x); saturates to 0 or 1 without a warning."""

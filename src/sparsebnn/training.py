@@ -58,6 +58,11 @@ from .svi import (
 
 KL_SCHEDULES = ("uniform", "blundell")
 OPTIMIZERS = ("sgd", "adam")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+INIT_M_STD = 0.1  # initial means ~ N(0, INIT_M_STD^2)
+INIT_RHO = -3.0  # initial sigma = softplus(INIT_RHO)
 
 
 class NumericalAbort(RuntimeError):
@@ -77,14 +82,9 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.01
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     mc_samples: int = 1
     kl_schedule: str = "uniform"
     seed: int = 0
-    init_m_std: float = 0.1
-    init_rho: float = -3.0
     noise_variance: float = 1.0
 
     def __post_init__(self):
@@ -145,11 +145,8 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr, beta1, beta2, eps, size):
+    def __init__(self, lr, size):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m1 = np.zeros(size)
         self.m2 = np.zeros(size)
         self.t = 0
@@ -161,16 +158,16 @@ class _Adam:
         lr * mhat / (sqrt(vhat) + eps), evaluated in that order."""
         self.t += 1
         step, scratch = self.step, self.scratch
-        self.m1 *= self.beta1
-        self.m1 += np.multiply(1.0 - self.beta1, grad, out=step)
-        self.m2 *= self.beta2
-        np.multiply(1.0 - self.beta2, grad, out=step)
+        self.m1 *= ADAM_BETA1
+        self.m1 += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+        self.m2 *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, grad, out=step)
         self.m2 += np.multiply(step, grad, out=step)
-        np.divide(self.m1, 1.0 - self.beta1**self.t, out=step)    # mhat
-        np.divide(self.m2, 1.0 - self.beta2**self.t, out=scratch)  # vhat
+        np.divide(self.m1, 1.0 - ADAM_BETA1**self.t, out=step)    # mhat
+        np.divide(self.m2, 1.0 - ADAM_BETA2**self.t, out=scratch)  # vhat
         np.multiply(self.lr, step, out=step)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += ADAM_EPS
         return np.divide(step, scratch, out=step)
 
 
@@ -178,9 +175,10 @@ def init_params(
     topology: NetworkTopology, prior: SpikeSlabPrior, config: TrainConfig,
     rng: np.random.Generator,
 ) -> VariationalParams:
-    """Fresh variational state: small random means, constant rho, closed-form p."""
-    m = rng.normal(0.0, config.init_m_std, topology.n_params)
-    rho = np.full(topology.n_params, config.init_rho)
+    """Fresh variational state: means ~ N(0, INIT_M_STD^2), rho = INIT_RHO,
+    closed-form p.  ``config`` is not read; existing callers pass it."""
+    m = rng.normal(0.0, INIT_M_STD, topology.n_params)
+    rho = np.full(topology.n_params, INIT_RHO)
     vp = VariationalParams(m, rho, np.zeros(topology.n_params))
     vp.p = optimal_p(vp.m, vp.sigma, prior)
     return vp
@@ -255,8 +253,7 @@ def train(
     # entries of [m | rho] the update writes: all, or the unpruned ones
     keep = True if active is None else np.concatenate([active, active])
     if config.optimizer == "adam":
-        opt = _Adam(config.learning_rate, config.adam_beta1,
-                    config.adam_beta2, config.adam_eps, 2 * size)
+        opt = _Adam(config.learning_rate, 2 * size)
     else:
         opt = _Sgd(config.learning_rate, 2 * size)
     if diagnostics:

@@ -100,7 +100,7 @@ def straight_line_forward(topology, w, x):
 
 
 def reframe(raw: bytes, edit) -> bytes:
-    """Rewrite a checkpoint or mask file after ``edit`` mutates its header.
+    """Rewrite a checkpoint file after ``edit`` mutates its header.
 
     Parses the documented frame (8-byte magic, uint32 header length, JSON
     header) by hand, so a test can hand the loader a header the library's

@@ -7,6 +7,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reframe
 from sparsebnn import (
@@ -23,7 +25,9 @@ from sparsebnn import (
     standardize_fit_apply,
     train,
 )
-from sparsebnn.cli import DEFAULTS, build_dataset, main
+from sparsebnn.cli import (
+    DEFAULTS, _load_run, build_dataset, build_parser, main, resolve_options,
+)
 
 FAST = [
     "--epochs", "15", "--batch", "64", "--hidden", "6",
@@ -178,8 +182,6 @@ class TestPruneCommand:
         assert not (out / "prune.csv").exists()
 
     def test_default_droprate_grid(self):
-        from sparsebnn.cli import build_parser
-
         args = build_parser().parse_args(["prune", "--checkpoint", "x"])
         assert args.droprates == "0,10,20,25,50,75,80,90,95"
 
@@ -617,6 +619,30 @@ BAD_INPUTS = [
     pytest.param(lambda run, tmp: _damaged_run(
         run, tmp, _rewrite_checkpoint(lambda raw: raw[:11])),
         "model.ckpt", id="checkpoint-under-12-bytes"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--draws", "1", "--out", str(tmp / "g.csv")],
+        "draws must be >= 2, got 1", id="gradcheck-draws-1"),
+    *(pytest.param(lambda run, tmp, bad=bad: [
+        "gradcheck", "--draws", "100", "--out", str(tmp / "g.csv"),
+        "--settings", "0.5,0.3,0.5,1,0.1;" + bad], named, id=case)
+      for case, bad, named in (
+          ("gradcheck-sigma-0", "0.5,0,0.5,1,0.1",
+           "setting 1: sigma = 0.0"),
+          ("gradcheck-sigma-1e-300", "0.5,1e-300,0.5,1,0.1",
+           "setting 1: sigma = 1e-300"),
+          ("gradcheck-sigma-negative", "0.5,-1,0.5,1,0.1",
+           "setting 1: sigma = -1.0"),
+          ("gradcheck-sigma-inf", "0.5,inf,0.5,1,0.1",
+           "setting 1: sigma = inf"),
+          ("gradcheck-m-nan", "nan,0.3,0.5,1,0.1",
+           "setting 1: m = nan"))),
+    pytest.param(lambda run, tmp: [
+        "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
+        "--grid", "0.5,x"], "--grid value 'x'", id="select-grid-x"),
+    pytest.param(lambda run, tmp: [
+        "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
+        "--grid", "0.5,nan"], "candidate proportions must lie in (0, 1]",
+        id="select-grid-nan"),
 ]
 
 
@@ -655,3 +681,48 @@ def test_run_json_with_head_key_still_loads(bad_input_run, tmp_path):
         lambda doc: doc.update(head="identity")))
     assert main(argv) == 0
     assert (tmp_path / "damaged" / "prune.csv").exists()
+
+
+# a value of each DEFAULTS key's type; the keys with choices draw from them
+_OPTION_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(-2**40, 2**40),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    "hidden": st.lists(st.integers(1, 99), min_size=1, max_size=3).map(
+        lambda sizes: ",".join(map(str, sizes))),
+    "activation": st.sampled_from(["relu", "tanh", "identity"]),
+    "optimizer": st.sampled_from(["sgd", "adam"]),
+    "kl_schedule": st.sampled_from(["uniform", "blundell"]),
+}
+
+
+@pytest.fixture(scope="module")
+def option_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("options")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_each_option_resolves_alike_from_every_source(option_dir, data):
+    """Every DEFAULTS key, given one value on the command line, in a
+    --config file or in a run.json, resolves to that value."""
+    parser = build_parser()
+    for key, default in DEFAULTS.items():
+        kind = int if key == "split_seed" else type(default)
+        value = data.draw(_OPTION_VALUES.get(key) or _OPTION_VALUES[kind],
+                          label=key)
+        text = str(value)
+        sources = {}
+        if key != "standardize":  # set only from a config file
+            args = parser.parse_args(
+                ["train", f"--{key.replace('_', '-')}={text}"])
+            sources["command line"] = resolve_options(args)[key]
+        conf = option_dir / "options.conf"
+        conf.write_text(f"{key} = {text}\n")
+        args = parser.parse_args(["train", "--config", str(conf)])
+        sources["config file"] = resolve_options(args)[key]
+        run = {**DEFAULTS, "split_seed": 0, "data": BAD_DATA, key: value}
+        (option_dir / "run.json").write_text(json.dumps(run))
+        sources["run.json"] = _load_run(option_dir / "model.ckpt")[key]
+        for source, resolved in sources.items():
+            assert (type(resolved), resolved) == (kind, value), (key, source)

@@ -7,7 +7,6 @@ from helpers import moderate_prior
 from sparsebnn import (
     Dataset,
     NetworkTopology,
-    PruneMask,
     SpikeSlabPrior,
     SyntheticSpec,
     TrainConfig,
@@ -132,16 +131,6 @@ class TestPrune:
                     rng.random(100))
         mask, _ = prune(vp, "inclusion_p", 0.99)
         assert sparsity(mask) == pytest.approx(0.99)
-
-    def test_mask_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        mask = PruneMask(rng.random(31) < 0.6, "snr", 0.25)
-        path = tmp_path / "keep.mask"
-        mask.save(path)
-        again = PruneMask.load(path)
-        assert np.array_equal(again.keep, mask.keep)
-        assert again.rule == mask.rule
-        assert again.droprate == mask.droprate
 
 
 class TestFeatureImportance:

@@ -1,4 +1,4 @@
-"""Fuzzing the checkpoint and mask loaders against damaged files.
+"""Fuzzing the checkpoint loader against damaged files.
 
 Every damaged file must raise a ValueError that names the file; an intact
 one must round-trip bit-exactly.  Each example rewrites one small file, so
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from helpers import reframe
 from sparsebnn import (
     NetworkTopology,
-    PruneMask,
     SpikeSlabPrior,
     VariationalParams,
     load_checkpoint,
@@ -31,8 +30,6 @@ CHECKPOINT_KEYS = (
     "format_version", "canonical_order", "n_params", "layer_sizes",
     "hidden_activation", "output_head", "prior", "has_mask",
 )
-MASK_KEYS = ("format_version", "canonical_order", "n_params", "rule",
-             "droprate")
 WRONG_VALUES = (None, True, False, -1, 1.5, "x", [], {})
 
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -51,28 +48,19 @@ def _state(active=None):
 
 @pytest.fixture(scope="module")
 def intact(folder):
-    """Bytes of an unmasked checkpoint, a masked one and a mask file."""
+    """Bytes of an unmasked checkpoint and a masked one."""
     save_checkpoint(folder / "plain.ckpt", TOPOLOGY, PRIOR, _state())
     save_checkpoint(folder / "masked.ckpt", TOPOLOGY, PRIOR,
                     _state([True, True, False, True]))
-    PruneMask([True, False, True, True], "snr", 0.25).save(folder / "a.mask")
     return {name: (folder / name).read_bytes()
-            for name in ("plain.ckpt", "masked.ckpt", "a.mask")}
+            for name in ("plain.ckpt", "masked.ckpt")}
 
 
-def _load_checkpoint(path):
-    load_checkpoint(path)
-
-
-def _load_mask(path):
-    PruneMask.load(path)
-
-
-def _assert_rejected(folder, name, raw, load):
+def _assert_rejected(folder, name, raw):
     path = folder / name
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        load(path)
+        load_checkpoint(path)
 
 
 _DROP = object()
@@ -115,31 +103,11 @@ def test_checkpoint_round_trip(folder, sizes, data, masked):
 
 
 @FUZZ
-@given(keep=st.lists(st.booleans(), min_size=1, max_size=40),
-       rule=st.sampled_from(["inclusion_p", "second_moment", "snr"]),
-       droprate=st.floats(0.0, 1.0, exclude_max=True))
-def test_mask_round_trip(folder, keep, rule, droprate):
-    path = folder / "round.mask"
-    PruneMask(keep, rule, droprate).save(path)
-    again = PruneMask.load(path)
-    assert again.keep.tolist() == keep
-    assert (again.rule, again.droprate) == (rule, droprate)
-
-
-@FUZZ
 @given(masked=st.booleans(), data=st.data())
 def test_truncated_checkpoint_rejected(folder, intact, masked, data):
     raw = intact["masked.ckpt" if masked else "plain.ckpt"]
     cut = data.draw(st.integers(0, len(raw) - 1))
-    _assert_rejected(folder, "cut.ckpt", raw[:cut], _load_checkpoint)
-
-
-@FUZZ
-@given(data=st.data())
-def test_truncated_mask_rejected(folder, intact, data):
-    raw = intact["a.mask"]
-    cut = data.draw(st.integers(0, len(raw) - 1))
-    _assert_rejected(folder, "cut.mask", raw[:cut], _load_mask)
+    _assert_rejected(folder, "cut.ckpt", raw[:cut])
 
 
 @FUZZ
@@ -150,28 +118,14 @@ def test_checkpoint_header_key_dropped_or_mistyped(folder, intact, key,
     raw = intact["plain.ckpt"]
     edited = reframe(raw, _replace(key, value))
     assume(edited != raw)
-    _assert_rejected(folder, "key.ckpt", edited, _load_checkpoint)
+    _assert_rejected(folder, "key.ckpt", edited)
 
 
 @FUZZ
-@given(key=st.sampled_from(MASK_KEYS),
-       value=st.sampled_from((_DROP, *WRONG_VALUES)))
-def test_mask_header_key_dropped_or_mistyped(folder, intact, key, value):
-    raw = intact["a.mask"]
-    edited = reframe(raw, _replace(key, value))
-    assume(edited != raw)
-    _assert_rejected(folder, "key.mask", edited, _load_mask)
-
-
-@FUZZ
-@given(extra=st.binary(min_size=1, max_size=16), mask_file=st.booleans())
-def test_trailing_bytes_rejected(folder, intact, extra, mask_file):
-    if mask_file:
-        _assert_rejected(folder, "long.mask", intact["a.mask"] + extra,
-                         _load_mask)
-    else:
-        _assert_rejected(folder, "long.ckpt", intact["masked.ckpt"] + extra,
-                         _load_checkpoint)
+@given(extra=st.binary(min_size=1, max_size=16), masked=st.booleans())
+def test_trailing_bytes_rejected(folder, intact, extra, masked):
+    raw = intact["masked.ckpt" if masked else "plain.ckpt"]
+    _assert_rejected(folder, "long.ckpt", raw + extra)
 
 
 @FUZZ
@@ -184,7 +138,7 @@ def test_p_outside_unit_interval_rejected(folder, intact, bad, index):
     raw = bytearray(intact["plain.ckpt"])
     at = len(raw) - 8 * (len(_state()) - index)
     raw[at:at + 8] = struct.pack("<d", bad)
-    _assert_rejected(folder, "p.ckpt", bytes(raw), _load_checkpoint)
+    _assert_rejected(folder, "p.ckpt", bytes(raw))
 
 
 @FUZZ
@@ -203,29 +157,22 @@ def test_save_rejects_p_outside_unit_interval(folder, bad, index, masked):
 
 
 @FUZZ
-@given(byte=st.integers(2, 255), index=st.integers(1, 4),
-       mask_file=st.booleans())
-def test_flag_byte_other_than_0_or_1_rejected(folder, intact, byte, index,
-                                              mask_file):
-    # keep/active flags are the file's last four bytes
-    if mask_file:
-        raw, name, load = intact["a.mask"], "flag.mask", _load_mask
-    else:
-        raw, name, load = intact["masked.ckpt"], "flag.ckpt", _load_checkpoint
-    raw = bytearray(raw)
+@given(byte=st.integers(2, 255), index=st.integers(1, 4))
+def test_flag_byte_other_than_0_or_1_rejected(folder, intact, byte, index):
+    # the active flags are a masked checkpoint's last four bytes
+    raw = bytearray(intact["masked.ckpt"])
     raw[-index] = byte
-    _assert_rejected(folder, name, bytes(raw), load)
+    _assert_rejected(folder, "flag.ckpt", bytes(raw))
 
 
-@pytest.mark.parametrize("mask_file", [True, False])
-def test_canonical_order_mismatch_rejected(folder, intact, mask_file):
-    raw = intact["a.mask" if mask_file else "plain.ckpt"]
+@pytest.mark.parametrize("masked", [True, False])
+def test_canonical_order_mismatch_rejected(folder, intact, masked):
+    raw = intact["masked.ckpt" if masked else "plain.ckpt"]
     edited = reframe(raw, _replace("canonical_order", "column-major/v0"))
-    _assert_rejected(folder, "order.bin", edited,
-                     _load_mask if mask_file else _load_checkpoint)
+    _assert_rejected(folder, "order.ckpt", edited)
 
 
 def test_output_head_other_than_identity_rejected(folder, intact):
     # the library is regression-only; its writer always says "identity"
     edited = reframe(intact["plain.ckpt"], _replace("output_head", "softmax"))
-    _assert_rejected(folder, "head.ckpt", edited, _load_checkpoint)
+    _assert_rejected(folder, "head.ckpt", edited)

@@ -10,7 +10,8 @@ work changes them and must say so.  Beside each hash, the final objective,
 pins were recorded with numpy 2.4.6 on x86-64 (OpenBLAS, AVX-512); another
 numpy, BLAS or CPU may round differently.  In particular the hashes depend
 on the SIMD ``exp``/``log``/``log1p`` kernels numpy dispatches to on the
-CPU at hand, since softplus, the logistic and x*log x are built from them.
+CPU at hand, since softplus, the logistic and x*log x are built from them,
+so a failed hash assertion names numpy's dispatch target on this CPU.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import sparsebnn.compression
 import sparsebnn.training
@@ -92,6 +94,15 @@ def _sha(*arrays):
 def _params_sha(report):
     vp = report.params
     return _sha(vp.m, vp.rho, vp.p)
+
+
+def _pin_note() -> str:
+    """What a failed hash pin says: the CPU the pins were recorded on and
+    the target numpy dispatches to here (its highest active one)."""
+    active = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    here = active[-1] if active else "baseline only"
+    return (f"hash pins were recorded with numpy 2.4.6 on an AVX-512 CPU; "
+            f"numpy dispatches to {here} here")
 
 
 def digests(report) -> dict:
@@ -171,7 +182,7 @@ def test_fixed_seed_run_matches_golden_hashes(name):
     np.testing.assert_allclose(report.objective[-1], objective, **close)
     np.testing.assert_allclose(np.sum(report.params.p), sum_p, **close)
     np.testing.assert_allclose(report.params.m[:3], m3, **close)
-    assert digests(report) == GOLDEN[name]
+    assert digests(report) == GOLDEN[name], _pin_note()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -188,7 +199,7 @@ def test_diagnostics_off_keeps_the_golden_params(name, monkeypatch):
     report = RUNS[name](diagnostics=False)
     assert (report.objective, report.train_loss) == (None, None)
     assert calls == Counter()
-    assert _params_sha(report) == GOLDEN[name]["params"]
+    assert _params_sha(report) == GOLDEN[name]["params"], _pin_note()
     # the counters see the diagnostics when they are on
     RUNS[name]()
     assert calls["penalty_total"] > 0 and calls["_train_loss"] > 0
@@ -236,4 +247,4 @@ def test_cv_threshold_matches_golden_call_stream(monkeypatch):
         folds=3, candidate_proportions=(0.1, 0.25, 0.5, 1.0), seed=7,
     )
     assert calls.count("train") == 3 * (1 + 4)
-    assert (h.hexdigest(), len(calls), proportion) == CV_GOLDEN
+    assert (h.hexdigest(), len(calls), proportion) == CV_GOLDEN, _pin_note()

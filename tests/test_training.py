@@ -201,7 +201,7 @@ class TestPredict:
         topo, vp, x = self._state()
         mc = predict(
             topo, vp, x, mode="mc", samples=1,
-            noise=NoiseDraw.zeros(len(vp)),
+            noise=[np.zeros(len(vp))],
         )
         assert np.array_equal(mc, predict(topo, vp, x, mode="mean"))
 
@@ -312,7 +312,7 @@ def test_fixed_noise_variance_scales_likelihood():
         m, np.full(topo.n_params, -2.0), np.full(topo.n_params, 0.5)
     )
     vp.p = optimal_p(vp.m, vp.sigma, prior)
-    eps = NoiseDraw.zeros(topo.n_params)
+    eps = np.zeros(topo.n_params)
     o1 = objective_estimate(topo, vp, prior, ds.X, ds.y, noise=[eps],
                             noise_variance=1.0)
     o2 = objective_estimate(topo, vp, prior, ds.X, ds.y, noise=[eps],
