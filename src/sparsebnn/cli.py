@@ -107,6 +107,15 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+# the keys each data kind takes, with their types
+_DATA_KEYS = {
+    "two_feature": {"alpha": float, "n": int, "seed": int},
+    "sparse": {"n": int, "d": int, "alpha": float, "pi": float, "link": str,
+               "seed": int},
+    "csv": {"path": str, "target": str},
+}
+
+
 def build_dataset(spec: str) -> Dataset:
     """Materialize a dataset from a data spec string.
 
@@ -114,35 +123,46 @@ def build_dataset(spec: str) -> Dataset:
         two_feature:alpha=0.5,n=2000,seed=0
         sparse:n=2000,d=100,alpha=2,pi=0.2,link=nonlinear,seed=0
         csv:path=FILE,target=COLUMN
+
+    A key the kind does not take, or a value that does not convert to the
+    key's type, raises ConfigError naming the key.
     """
     if ":" not in spec:
         raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
     kind, rest = spec.split(":", 1)
-    kv = _parse_kv(rest)
+    if kind not in _DATA_KEYS:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    types = _DATA_KEYS[kind]
+    kv = {}
+    for key, value in _parse_kv(rest).items():
+        if key not in types:
+            raise ConfigError(f"{kind} data spec: unknown key {key!r}; it "
+                              f"takes {', '.join(types)}")
+        try:
+            kv[key] = types[key](value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{kind} data spec: {key} = {value!r}: {exc}") from None
     if kind == "two_feature":
-        return gen_two_feature(
-            float(kv.get("alpha", 0.5)), int(kv.get("n", 2000)),
-            int(kv.get("seed", 0)),
-        )
+        return gen_two_feature(kv.get("alpha", 0.5), kv.get("n", 2000),
+                               kv.get("seed", 0))
     if kind == "sparse":
         return gen_sparse_regression(
             SyntheticSpec(
-                n=int(kv.get("n", 2000)),
-                n_features=int(kv.get("d", 100)),
-                alpha=float(kv.get("alpha", 2.0)),
-                pi_active=float(kv.get("pi", 0.2)),
+                n=kv.get("n", 2000),
+                n_features=kv.get("d", 100),
+                alpha=kv.get("alpha", 2.0),
+                pi_active=kv.get("pi", 0.2),
                 link=kv.get("link", "linear"),
-                seed=int(kv.get("seed", 0)),
+                seed=kv.get("seed", 0),
             )
         )
-    if kind == "csv":
-        if "path" not in kv or "target" not in kv:
-            raise ConfigError("csv spec needs path= and target=")
-        target = kv["target"]
-        if target.lstrip("-").isdigit():
-            target = int(target)
-        return load_csv(kv["path"], target)
-    raise ConfigError(f"unknown data kind {kind!r}")
+    if "path" not in kv or "target" not in kv:
+        raise ConfigError("csv spec needs path= and target=")
+    target = kv["target"]
+    if target.lstrip("-").isdigit():
+        target = int(target)
+    return load_csv(kv["path"], target)
 
 
 def _read_config_file(path) -> dict:
@@ -210,7 +230,11 @@ def _prior_from(opts) -> SpikeSlabPrior:
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
-    hidden = tuple(int(h) for h in str(opts["hidden"]).split(",") if h.strip())
+    try:
+        hidden = tuple(int(h) for h in str(opts["hidden"]).split(",")
+                       if h.strip())
+    except ValueError as exc:
+        raise ConfigError(f"hidden = {opts['hidden']!r}: {exc}") from None
     return NetworkTopology((n_features, *hidden, 1),
                            hidden_activation=opts["activation"])
 

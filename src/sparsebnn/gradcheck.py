@@ -172,9 +172,11 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
     ``settings`` is an iterable of (m, sigma, pi, tau1, tau0) tuples.  One
     row per setting, carrying both gradients; the closed-form estimator is
     deterministic, so its variance columns are identically zero.  p is set
-    to its closed-form optimum.  A setting whose m is not finite, or whose
+    to its closed-form optimum.  A setting whose m is not finite, whose
     sigma is not > 0 with sigma^2 a finite, normal float (the estimators
-    divide by it), raises ValueError naming the setting's index.
+    divide by it), or whose quadrature window m +/- 12 sigma spans fewer
+    than 2**30 float steps of m (so the reference would collapse) raises
+    ValueError naming the setting's index.
     """
     rows = []
     for k, (m, sigma, pi, tau1, tau0) in enumerate(settings):
@@ -184,6 +186,11 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
             raise ValueError(f"gradcheck setting {k}: sigma = {sigma!r} must "
                              "be > 0, and sigma^2 must neither underflow nor "
                              "overflow")
+        if 24.0 * sigma < 2.0**30 * np.spacing(abs(m)):
+            raise ValueError(f"gradcheck setting {k}: sigma = {sigma!r} is "
+                             f"too small for m = {m!r}: the quadrature "
+                             "window m +/- 12 sigma must span 2**30 float "
+                             "steps of m")
         prior = SpikeSlabPrior(pi, tau1, tau0)
         p_star = optimal_p(m, sigma, prior)
         closed_m, closed_s2 = grad_penalty(m, sigma, p_star, prior)

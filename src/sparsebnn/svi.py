@@ -151,9 +151,10 @@ def _noise(vp: VariationalParams, eps) -> np.ndarray:
     return e
 
 
-def sample_weights(vp: VariationalParams, eps) -> np.ndarray:
-    """Pathwise sample W = m + softplus(rho) * eps; pruned entries stay 0."""
-    w = vp.m + vp.sigma * _noise(vp, eps)
+def sample_weights(vp: VariationalParams, eps, *, sigma=None) -> np.ndarray:
+    """Pathwise sample W = m + softplus(rho) * eps; pruned entries stay 0.
+    ``sigma`` is softplus(vp.rho), if the caller already has it."""
+    w = vp.m + (vp.sigma if sigma is None else sigma) * _noise(vp, eps)
     if vp.active is not None:
         w = np.where(vp.active, w, 0.0)
     return w
@@ -241,69 +242,18 @@ def objective_estimate(
     seed: int = 0,
     noise_variance: float = 1.0,
 ) -> float:
-    """Monte Carlo estimate of the batch objective.
-
-    Averages the NLL over ``mc_samples`` pathwise draws and adds
-    ``kl_weight * sum_i R_i``; ``kl_weight`` carries the minibatch share
-    of the penalty and must lie in (0, 1].  Each draw runs through
-    :func:`_draw_step`.
-    """
+    """Monte Carlo estimate of the batch objective, the mean over
+    ``mc_samples`` pathwise draws of NLL + ``kl_weight * sum_i R_i``, where
+    ``kl_weight`` in (0, 1] is the minibatch share of the penalty.  It is
+    :func:`_batch_step`'s value, so at the same parameters, rows and draws
+    it is bit for bit the batch objective ``training.train`` logs."""
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    x, sigma, terms = _checked_step(topology, vp, prior, x, kl_weight)
+    x = _checked_step(topology, vp, x, kl_weight)
     draws = _resolve_draws(len(vp), mc_samples, noise, seed)
-    nll_sum = 0.0
-    for draw in draws:
-        nll_sum += _draw_step(topology, vp, sigma, terms, x, y,
-                              _noise(vp, draw), noise_variance)[2]
-    return (nll_sum / len(draws)
-            + kl_weight * penalty_total(vp, prior, sigma=sigma))
-
-
-def _checked_step(topology, vp: VariationalParams, prior, x, kl_weight):
-    """Check ``kl_weight``, the parameters and the non-empty input batch;
-    return (x, sigma, :func:`_penalty_terms`)."""
-    if not 0.0 < kl_weight <= 1.0:
-        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
-    _check_params(topology, vp.m)
-    x = _check_inputs(topology, x)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    sigma = vp.sigma
-    return x, sigma, _penalty_terms(vp, prior, sigma, kl_weight)
-
-
-def _penalty_terms(vp: VariationalParams, prior, sigma, kl_weight):
-    """(dsigma/drho, kl_weight * dR/dm, kl_weight * dR/drho): the part of a
-    step's gradient no draw changes; ``sigma`` is softplus(vp.rho)."""
-    d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
-    sp = dsigma_drho(vp.rho)
-    return sp, kl_weight * d_m, kl_weight * d_s2 * 2.0 * sigma * sp
-
-
-def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
-               noise_variance):
-    """One pathwise draw: (grad_m, grad_rho, NLL) of the batch objective.
-
-    ``sigma`` and ``terms`` (from :func:`_penalty_terms`) are shared by
-    every draw of a step; ``e`` is the draw's standard-normal vector.  The
-    caller has checked the shapes, so the forward loop runs without
-    :func:`forward`'s checks or copy; its trace holds ``w`` and lives only
-    inside this call.
-    """
-    w = vp.m + sigma * e
-    if vp.active is not None:
-        w = np.where(vp.active, w, 0.0)
-    outputs, trace = _forward(topology, w, x)
-    data_nll, g_out = _nll_and_grad(outputs, y, noise_variance)
-    g_w = backward(trace, w, g_out)
-    sp, pen_m, pen_rho = terms
-    grad_m = g_w + pen_m
-    grad_rho = g_w * e * sp + pen_rho
-    if vp.active is not None:
-        grad_m = np.where(vp.active, grad_m, 0.0)
-        grad_rho = np.where(vp.active, grad_rho, 0.0)
-    return grad_m, grad_rho, data_nll
+    return _batch_step(topology, vp, prior, vp.sigma, kl_weight, x, y,
+                       [_noise(vp, d) for d in draws], noise_variance,
+                       np.empty(2 * len(vp)), True)
 
 
 def step_gradients(
@@ -316,14 +266,80 @@ def step_gradients(
     kl_weight: float = 1.0,
     noise_variance: float = 1.0,
 ):
-    """One-draw pathwise gradients (grad_m, grad_rho) of the batch objective.
-
-    Chain rule through W = m + softplus(rho) * eps: the likelihood gradient
-    from ``backward`` enters grad_m directly and grad_rho via
-    eps / (1 + e^-rho); the penalty contributes its closed-form gradients,
-    with dR/d rho = dR/d sigma^2 * 2 sigma * dsigma/drho.
+    """One-draw pathwise gradients (grad_m, grad_rho) of the batch objective,
+    computed by :func:`_batch_step` with the one draw ``eps``: the gradient
+    of a ``training.train`` step is the mean of these over its draws.
     """
-    x, sigma, terms = _checked_step(topology, vp, prior, x, kl_weight)
-    grad_m, grad_rho, _ = _draw_step(topology, vp, sigma, terms, x, y,
-                                     _noise(vp, eps), noise_variance)
-    return grad_m, grad_rho
+    x = _checked_step(topology, vp, x, kl_weight)
+    size = len(vp)
+    grad = np.empty(2 * size)
+    _batch_step(topology, vp, prior, vp.sigma, kl_weight, x, y,
+                [_noise(vp, eps)], noise_variance, grad, False)
+    return grad[:size], grad[size:]
+
+
+def _checked_step(topology, vp: VariationalParams, x, kl_weight):
+    """Check ``kl_weight``, the parameters and the non-empty input batch;
+    return the checked x."""
+    if not 0.0 < kl_weight <= 1.0:
+        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
+    _check_params(topology, vp.m)
+    x = _check_inputs(topology, x)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    return x
+
+
+def _batch_step(topology, vp: VariationalParams, prior, sigma, kl, x, y,
+                noises, noise_variance, grad, with_penalty):
+    """One minibatch step: fill ``grad`` = [grad_m | grad_rho] with the
+    gradient averaged over the draws ``noises`` (standard-normal vectors,
+    read one at a time) and return the mean over draws of NLL + kl * R.
+
+    ``sigma`` is softplus(vp.rho), ``kl`` the batch's penalty share.  The
+    draw-free terms come first: dsigma/drho, kl * dR/dm and kl * dR/drho =
+    kl * dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per draw one
+    :func:`_draw_step` and, if ``with_penalty``, one :func:`penalty_total`;
+    without it the objective is the mean NLL, with the same gradient bits.
+    """
+    d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
+    sp = dsigma_drho(vp.rho)
+    terms = sp, kl * d_m, kl * d_s2 * 2.0 * sigma * sp
+    size = len(vp)
+    grad.fill(0.0)
+    obj = 0.0
+    for draws, e in enumerate(noises, 1):
+        gm, gr, data_nll = _draw_step(topology, vp, sigma, terms, x, y, e,
+                                      noise_variance)
+        grad[:size] += gm
+        grad[size:] += gr
+        # one sum with or without the penalty: data_nll + 0.0 is data_nll
+        pen = (kl * penalty_total(vp, prior, sigma=sigma)
+               if with_penalty else 0.0)
+        obj += data_nll + pen
+    grad /= draws
+    return obj / draws
+
+
+def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
+               noise_variance):
+    """One pathwise draw: (grad_m, grad_rho, NLL) of the batch objective.
+
+    The likelihood gradient from ``backward`` enters grad_m directly and
+    grad_rho via eps * dsigma/drho.  ``terms`` is (dsigma/drho,
+    kl * dR/dm, kl * dR/drho), shared by every draw of a step; ``e`` is
+    the draw's standard-normal vector.  The caller has checked the
+    shapes, so the forward loop runs without :func:`forward`'s checks or
+    copy; its trace holds ``w`` and lives only inside this call.
+    """
+    w = sample_weights(vp, e, sigma=sigma)
+    outputs, trace = _forward(topology, w, x)
+    data_nll, g_out = _nll_and_grad(outputs, y, noise_variance)
+    g_w = backward(trace, w, g_out)
+    sp, pen_m, pen_rho = terms
+    grad_m = g_w + pen_m
+    grad_rho = g_w * e * sp + pen_rho
+    if vp.active is not None:
+        grad_m = np.where(vp.active, grad_m, 0.0)
+        grad_rho = np.where(vp.active, grad_rho, 0.0)
+    return grad_m, grad_rho, data_nll

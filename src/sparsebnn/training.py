@@ -6,21 +6,17 @@ refreshes every inclusion probability from its closed form.  The penalty
 share is either uniform (1/M per batch) or the geometric schedule
 r_i = 2^(M-i) / (2^M - 1).
 
-A step, in order: the penalty-gradient terms, from the sigma carried
-over from the last p refresh; per draw one ``NoiseDraw.draw``, one
-``svi._draw_step`` (sample, forward, NLL, one ``network.backward``; the
-forward trace dies with it) and one ``svi.penalty_total`` for the logged
-objective, the three calls per draw that the benchmark's tracer counts;
-the optimizer step on the one buffer ``[m | rho]`` that ``vp.m`` and
-``vp.rho`` view; then sigma and p refreshed.  Sigma is computed once per
-step: the draws, the penalty and the epoch's mean-weight loss reuse it
-or need none.  Only masked runs apply the keep mask.  A fixed seed gives
-bit-identical results, pinned by ``tests/test_golden.py``.
+A step is one ``svi._batch_step`` call, whose docstring states the
+per-draw work, then the optimizer step on the one buffer ``[m | rho]``
+that ``vp.m`` and ``vp.rho`` view, then sigma and p refreshed.  Sigma is
+computed once per step: the draws, the penalty and the epoch's
+mean-weight loss reuse it or need none.  Only masked runs apply the keep
+mask.  A fixed seed gives bit-identical results, pinned by
+``tests/test_golden.py``.
 
 The logged objective and the epoch's full-data ``train_loss`` are
 diagnostics that no parameter depends on.  ``diagnostics=False`` skips
-the per-draw ``penalty_total`` (so the sentence above counts two calls
-per draw, not three) and the per-epoch loss pass, with the same
+the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
 Each ``train`` call allocates its workspace once: the ``[m | rho]`` and
@@ -47,8 +43,7 @@ from .svi import (
     NoiseDraw,
     SpikeSlabPrior,
     VariationalParams,
-    _draw_step,
-    _penalty_terms,
+    _batch_step,
     _resolve_draws,
     optimal_p,
     penalty_total,
@@ -281,25 +276,11 @@ def train(
             idx = perm[bounds[b]:bounds[b + 1]]
             xb, yb = x_all.take(idx, axis=0), y_all.take(idx, axis=0)
             kl = kl_weights[b]
-            terms = _penalty_terms(vp, prior, sigma, kl)
-            grad.fill(0.0)
-            obj = 0.0
-            for _ in range(config.mc_samples):
-                eps = NoiseDraw.draw(size, config.seed, draw_index)
-                draw_index += 1
-                gm, gr, data_nll = _draw_step(
-                    topology, vp, sigma, terms, xb, yb, eps.eps,
-                    config.noise_variance,
-                )
-                grad[:size] += gm
-                grad[size:] += gr
-                # one sum either way: on, the objective keeps its bits; off,
-                # data_nll + 0.0 is data_nll
-                pen = (kl * penalty_total(vp, prior, sigma=sigma)
-                       if diagnostics else 0.0)
-                obj += data_nll + pen
-            grad /= config.mc_samples
-            obj /= config.mc_samples
+            noises = (NoiseDraw.draw(size, config.seed, i).eps for i in
+                      range(draw_index, draw_index + config.mc_samples))
+            draw_index += config.mc_samples
+            obj = _batch_step(topology, vp, prior, sigma, kl, xb, yb, noises,
+                              config.noise_variance, grad, diagnostics)
             grad_ok = np.isfinite(grad).all()
             if not (grad_ok or diagnostics):
                 # name the culprit as a run with diagnostics would

@@ -589,6 +589,18 @@ BAD_INPUTS = [
         "gradcheck", "--settings", "a,b,c,d,e", "--out", str(tmp / "g.csv")],
         "'a'", id="gradcheck-settings-a"),
     pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--hidden", "10,x",
+        "--out", str(tmp / "x")],
+        "hidden = '10,x': invalid literal for int() with base 10: 'x'",
+        id="train-hidden-10-x"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", "sparse:n=100,d=4,bogus=1", "--epochs", "1",
+        "--out", str(tmp / "x")],
+        "sparse data spec: unknown key 'bogus'", id="data-unknown-key"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", "sparse:n=abc", "--out", str(tmp / "x")],
+        "sparse data spec: n = 'abc'", id="data-n-abc"),
+    pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--epochs", "1", "--out", str(tmp / "x"),
         "--config", _write(tmp / "head.conf", "head = softmax\n")],
         "unknown config key 'head'", id="train-head-softmax"),
@@ -635,7 +647,9 @@ BAD_INPUTS = [
           ("gradcheck-sigma-inf", "0.5,inf,0.5,1,0.1",
            "setting 1: sigma = inf"),
           ("gradcheck-m-nan", "nan,0.3,0.5,1,0.1",
-           "setting 1: m = nan"))),
+           "setting 1: m = nan"),
+          ("gradcheck-sigma-1e-14", "0.5,1e-14,0.5,1,0.1",
+           "setting 1: sigma = 1e-14 is too small for m = 0.5"))),
     pytest.param(lambda run, tmp: [
         "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
         "--grid", "0.5,x"], "--grid value 'x'", id="select-grid-x"),

@@ -22,6 +22,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import sparsebnn.compression
+import sparsebnn.svi
 import sparsebnn.training
 from sparsebnn import (
     NetworkTopology,
@@ -187,15 +188,19 @@ def test_fixed_seed_run_matches_golden_hashes(name):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_diagnostics_off_keeps_the_golden_params(name, monkeypatch):
+    # the step computes the penalty in svi, the abort path and the epoch
+    # loss in training
     calls = Counter()
-    for attr in ("penalty_total", "_train_loss"):
-        real = getattr(sparsebnn.training, attr)
+    for module, attr in ((sparsebnn.svi, "penalty_total"),
+                         (sparsebnn.training, "penalty_total"),
+                         (sparsebnn.training, "_train_loss")):
+        real = getattr(module, attr)
 
         def counted(*args, _real=real, _attr=attr, **kwargs):
             calls[_attr] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(sparsebnn.training, attr, counted)
+        monkeypatch.setattr(module, attr, counted)
     report = RUNS[name](diagnostics=False)
     assert (report.objective, report.train_loss) == (None, None)
     assert calls == Counter()

@@ -216,3 +216,26 @@ class TestVarianceComparison:
                                   draws=5000)[0]
         assert 0.0 <= row["mean_slab_responsibility"] <= 1.0
         assert 0.0 <= row["closed_form_p"] <= 1.0
+
+
+class TestQuadratureWindow:
+    # the reference integrates over m +/- 12 sigma; a window under 2**30
+    # float steps of m collapses and is refused
+    PRIOR = (0.5, 1.0, 0.1)
+
+    @pytest.mark.parametrize("m", [0.5, -2.0, 7.0])
+    def test_window_bound_accepts_above_and_rejects_below(self, m):
+        bound = 2.0**30 * np.spacing(abs(m)) / 24.0
+        row = variance_comparison([(m, 1.01 * bound, *self.PRIOR)],
+                                  draws=2)[0]
+        for which in ("m", "sigma2"):
+            assert row[f"quadrature_reference_{which}"] == pytest.approx(
+                row[f"closed_form_{which}"], rel=1e-7)
+        settings = [(m, 0.3, *self.PRIOR), (m, 0.99 * bound, *self.PRIOR)]
+        with pytest.raises(ValueError, match=f"setting 1: sigma = .* is too "
+                                             f"small for m = {m}"):
+            variance_comparison(settings, draws=2)
+
+    def test_zero_mean_never_rejected(self):
+        row = variance_comparison([(0.0, 1e-20, *self.PRIOR)], draws=2)[0]
+        assert row["quadrature_reference_m"] == row["closed_form_m"] == 0.0

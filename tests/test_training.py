@@ -20,9 +20,11 @@ from sparsebnn import (
     objective_estimate,
     optimal_p,
     predict,
+    prune,
     save_checkpoint,
     split,
     standardize_fit_apply,
+    step_gradients,
     train,
 )
 
@@ -416,3 +418,43 @@ def test_init_of_wrong_length_rejected_before_any_step(monkeypatch, delta):
               TrainConfig(epochs=1, batch_size=64, seed=3), init=start)
     assert (err.value.expected, err.value.actual) == ((topo.n_params,), (n,))
     assert str(topo.n_params) in str(err.value) and str(n) in str(err.value)
+
+
+@pytest.mark.parametrize("pruned", [False, True], ids=["unmasked", "pruned"])
+@pytest.mark.parametrize("draws", [1, 2, 4])
+def test_one_step_is_objective_estimate_and_step_gradients(draws, pruned):
+    # one batch, one epoch: train's logged objective and its sgd update
+    # are those of the public one-batch functions at the same rows and
+    # draws, bit for bit; eight seeds, since a sum in another order
+    # matches in the last bit for some of them
+    rng = np.random.default_rng(23)
+    ds = Dataset(rng.standard_normal((40, 3)), rng.standard_normal(40),
+                 ["a", "b", "c"])
+    topo = NetworkTopology((3, 4, 3, 1), hidden_activation="tanh")
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    m = rng.normal(0.0, 0.5, topo.n_params)
+    rho = rng.normal(-2.0, 0.5, topo.n_params)
+    start = VariationalParams(m, rho,
+                              optimal_p(m, np.logaddexp(0, rho), prior))
+    if pruned:
+        _, start = prune(start, "inclusion_p", 0.5)
+    size = topo.n_params
+    for seed in range(8):
+        config = TrainConfig(epochs=1, batch_size=64, learning_rate=0.05,
+                             optimizer="sgd", mc_samples=draws, seed=seed)
+        report = train(topo, prior, ds, config, init=start)
+        rows = np.random.default_rng(seed).permutation(ds.n)
+        x, y = ds.X.take(rows, axis=0), ds.y.take(rows, axis=0)
+        noise = [NoiseDraw.draw(size, seed, i) for i in range(draws)]
+        assert report.objective[0] == objective_estimate(
+            topo, start, prior, x, y, mc_samples=draws, noise=noise), seed
+        grad = np.zeros(2 * size)
+        for eps in noise:
+            g_m, g_rho = step_gradients(topo, start, prior, x, y, eps)
+            grad[:size] += g_m
+            grad[size:] += g_rho
+        grad /= draws
+        theta = (np.concatenate([start.m, start.rho])
+                 - config.learning_rate * grad)
+        assert np.array_equal(report.params.m, theta[:size]), seed
+        assert np.array_equal(report.params.rho, theta[size:]), seed
