@@ -166,6 +166,34 @@ def bbb_grad_sigma2(m, sigma, prior: SpikeSlabPrior, draws: int,
     )
 
 
+def _comparison_row(m, sigma, prior, draws, seed):
+    p_star = optimal_p(m, sigma, prior)
+    closed_m, closed_s2 = grad_penalty(m, sigma, p_star, prior)
+    rep_m = bbb_grad_m(m, sigma, prior, draws, seed)
+    rep_s2 = bbb_grad_sigma2(m, sigma, prior, draws, seed + 1)
+    row = {
+        "m": m,
+        "sigma": sigma,
+        "pi": prior.pi,
+        "tau1": prior.tau1,
+        "tau0": prior.tau0,
+        "draws": draws,
+        "mean_slab_responsibility": rep_m.extras["mean_slab_responsibility"],
+        "closed_form_p": rep_m.extras["closed_form_p"],
+    }
+    for which, closed, rep in (("m", closed_m, rep_m),
+                               ("sigma2", closed_s2, rep_s2)):
+        row.update({
+            f"closed_form_{which}": float(closed),
+            f"closed_form_variance_{which}": 0.0,
+            f"mc_mean_{which}": rep.mean,
+            f"mc_std_error_{which}": rep.std_error,
+            f"mc_variance_{which}": rep.std_error**2 * rep.draws,
+            f"quadrature_reference_{which}": rep.reference,
+        })
+    return row
+
+
 def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
     """Closed-form vs sampled gradients as rows (dicts); writes no file.
 
@@ -176,7 +204,10 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
     sigma is not > 0 with sigma^2 a finite, normal float (the estimators
     divide by it), or whose quadrature window m +/- 12 sigma spans fewer
     than 2**30 float steps of m (so the reference would collapse) raises
-    ValueError naming the setting's index.
+    ValueError naming the setting's index.  So does a setting whose
+    estimators overflow or compute an invalid value (the variance of a
+    tiny sigma's 1 / sigma^2 terms can overflow, for one), or whose row
+    holds a value that is not finite.
     """
     rows = []
     for k, (m, sigma, pi, tau1, tau0) in enumerate(settings):
@@ -192,30 +223,14 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
                              "window m +/- 12 sigma must span 2**30 float "
                              "steps of m")
         prior = SpikeSlabPrior(pi, tau1, tau0)
-        p_star = optimal_p(m, sigma, prior)
-        closed_m, closed_s2 = grad_penalty(m, sigma, p_star, prior)
-        rep_m = bbb_grad_m(m, sigma, prior, draws, seed + 2 * k)
-        rep_s2 = bbb_grad_sigma2(m, sigma, prior, draws, seed + 2 * k + 1)
-        row = {
-            "m": m,
-            "sigma": sigma,
-            "pi": prior.pi,
-            "tau1": prior.tau1,
-            "tau0": prior.tau0,
-            "draws": draws,
-            "mean_slab_responsibility":
-                rep_m.extras["mean_slab_responsibility"],
-            "closed_form_p": rep_m.extras["closed_form_p"],
-        }
-        for which, closed, rep in (("m", closed_m, rep_m),
-                                   ("sigma2", closed_s2, rep_s2)):
-            row.update({
-                f"closed_form_{which}": float(closed),
-                f"closed_form_variance_{which}": 0.0,
-                f"mc_mean_{which}": rep.mean,
-                f"mc_std_error_{which}": rep.std_error,
-                f"mc_variance_{which}": rep.std_error**2 * rep.draws,
-                f"quadrature_reference_{which}": rep.reference,
-            })
+        where = f"gradcheck setting {k}: at m = {m!r}, sigma = {sigma!r},"
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                row = _comparison_row(m, sigma, prior, draws, seed + 2 * k)
+        except FloatingPointError as exc:
+            raise ValueError(f"{where} the estimators fail: {exc}") from None
+        bad = [key for key, value in row.items() if not np.isfinite(value)]
+        if bad:
+            raise ValueError(f"{where} {bad[0]} is not finite")
         rows.append(row)
     return rows

@@ -4,7 +4,7 @@ All parameters of a network live in one flat float64 vector so that
 per-parameter posterior state (means, scales, inclusion probabilities,
 keep masks) can be stored and ranked without layer bookkeeping.  The
 canonical layout, fixed for every consumer of a flat vector (checkpoints,
-mask files, ranking rules), is
+keep masks, ranking rules), is
 
     for affine layer l = 1 .. L+1:
         weight matrix of shape (fan_in, fan_out), row-major (C order),
@@ -129,27 +129,40 @@ def _activate(name, z, out=None):
     return z
 
 
-def _activation_grad(name, z, a):
-    # Subgradient of relu at 0 is taken as 0.
+def _gate(name, a, delta, gate):
+    """Multiply ``delta`` in place by d act / dz, computed into ``gate`` from
+    the activation a = act(z) alone: relu's a > 0 is z > 0 (NaN and +-0
+    included; the subgradient at 0 is 0), tanh's is 1 - a^2, and identity's
+    is 1, so it needs no multiply."""
     if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        np.greater(a, 0.0, out=gate)
+    elif name == "tanh":
+        np.multiply(a, a, out=gate)
+        np.subtract(1.0, gate, out=gate)
+    else:
+        return
+    np.multiply(delta, gate, out=delta)
+
+
+def _backward_work(topology, rows):
+    """Fresh work for :func:`backward`: the flat gradient vector, then per
+    hidden layer one (rows, width) delta buffer and one gate buffer."""
+    widths = topology.layer_sizes[1:-1]
+    return (np.empty(topology.n_params),
+            [np.empty((rows, width)) for width in widths],
+            [np.empty((rows, width)) for width in widths])
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations cached for one batch."""
+    """Per-layer activations, and from :func:`forward` pre-activations too,
+    cached for one batch."""
 
     topology: NetworkTopology
-    pre: list = field(default_factory=list)       # z_1 .. z_{L+1}
+    pre: list = field(default_factory=list)       # z_1 .. z_{L+1}, or empty
     hidden: list = field(default_factory=list)    # a_0=x, a_1 .. a_L
     params: np.ndarray = None                     # the flat vector used
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.pre[-1]
+    outputs: np.ndarray = None                    # z_{L+1}
 
 
 def forward(topology: NetworkTopology, w, x):
@@ -173,36 +186,47 @@ def forward(topology: NetworkTopology, w, x):
 
 
 def _forward(topology, w, x, out=None):
-    """The one forward loop, on inputs the caller has checked.
+    """The one forward loop, on inputs the caller has checked; returns
+    (outputs, trace), and the trace holds ``w`` itself.
 
-    Without ``out`` it returns (outputs, trace), and the trace holds ``w``
-    itself.  ``out`` is one (n, width) buffer per affine layer: each layer
-    is written into its buffer and activated in place, no trace is kept,
-    and the outputs are the last buffer.  Both ways compute the same bits.
+    Without ``out`` every layer's z and activation are new arrays, and the
+    trace keeps both.  ``out`` is one buffer per affine layer with at least
+    x's rows: each layer is written into its buffer's first rows and
+    activated in place, so the trace's ``hidden`` holds the in-place
+    activations and its ``pre`` stays empty (:func:`backward` takes each
+    gate from the activation alone).  Both ways compute the same bits.
     """
-    trace = None if out is not None else ForwardTrace(topology, params=w)
+    trace = ForwardTrace(topology, params=w)
+    rows = x.shape[0]
     a = x
     last = topology.n_affine_layers - 1
     for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology)):
         z = np.matmul(a, w[w_sl].reshape(shape),
-                      out=None if out is None else out[l])
+                      out=None if out is None else out[l][:rows])
         z += w[b_sl]
-        if trace is not None:
-            trace.hidden.append(a)
+        trace.hidden.append(a)
+        if out is None:
             trace.pre.append(z)
         if l < last:
             a = _activate(topology.hidden_activation, z,
                           out=None if out is None else z)
+    trace.outputs = z
     return z, trace
 
 
-def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
+def backward(trace: ForwardTrace, w, loss_grad_at_outputs, *,
+             work=None) -> np.ndarray:
     """Exact reverse-mode gradient of a scalar loss w.r.t. every parameter.
 
     ``loss_grad_at_outputs`` is d(loss)/d(outputs) for the batch the trace
     was built on; the return value is the flat gradient vector [n_params].
     After its checks, each layer's weight and bias gradients are written
-    straight into that vector.
+    straight into that vector, each delta @ W.T into its layer's delta
+    buffer, and the gate, computed from the layer's activation alone,
+    multiplies it in place.  ``work`` is (gradient vector, delta buffers,
+    gate buffers), one of each buffer per hidden layer with at least the
+    batch's rows, as :func:`_backward_work` builds them; without it backward
+    allocates its own.  Both ways compute the same bits.
     """
     topology = trace.topology
     w = _check_params(topology, w)
@@ -218,7 +242,8 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
     if g_out.shape != trace.outputs.shape:
         raise ShapeMismatch("output gradient", trace.outputs.shape, g_out.shape)
 
-    grad = np.empty(topology.n_params)
+    rows = g_out.shape[0]
+    grad, deltas, gates = work or _backward_work(topology, rows)
     slices = layer_slices(topology)
     delta = g_out
     for l in range(topology.n_affine_layers, 0, -1):
@@ -227,10 +252,10 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs) -> np.ndarray:
         np.matmul(a_prev.T, delta, out=grad[w_sl].reshape(shape))
         delta.sum(axis=0, out=grad[b_sl])
         if l > 1:
-            gate = _activation_grad(
-                topology.hidden_activation, trace.pre[l - 2], trace.hidden[l - 1]
-            )
-            delta = (delta @ w[w_sl].reshape(shape).T) * gate
+            delta = np.matmul(delta, w[w_sl].reshape(shape).T,
+                              out=deltas[l - 2][:rows])
+            _gate(topology.hidden_activation, a_prev, delta,
+                  gates[l - 2][:rows])
     return grad
 
 

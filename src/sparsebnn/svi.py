@@ -32,12 +32,14 @@ import numpy as np
 
 # forward is not called here, but sparsebnn.svi.forward stays importable
 from .network import (
-    ShapeMismatch, _check_inputs, _check_params, _forward, _nll_and_grad,
-    backward, forward,
+    ShapeMismatch, _backward_work, _check_inputs, _check_params, _forward,
+    _nll_and_grad, backward, forward,
 )
 
 # SeedSequence splits an int past this into several 32-bit words
 _WORD_LIMIT = 2**32
+# below this, sum(m^2 + sigma^2) / (2 tau0^2) leaves every term of sum R finite
+_SCREEN_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,17 @@ class NoiseDraw:
     index: int
 
     @classmethod
-    def draw(cls, size: int, seed: int, index: int = 0) -> "NoiseDraw":
+    def draw(cls, size: int, seed: int, index: int = 0, *,
+             out=None) -> "NoiseDraw":
+        """The draw of (seed, index); ``out``, if given, receives its
+        ``size`` values, which are the same bits as a fresh array's."""
         key = [int(seed), int(index)]
         if 0 <= key[0] < _WORD_LIMIT and 0 <= key[1] < _WORD_LIMIT:
             # the same SeedSequence words as the list, coerced faster
             key = np.array(key, dtype=np.uint32)
         rng = np.random.default_rng(key)
-        return cls(eps=rng.standard_normal(size), seed=seed, index=index)
+        return cls(eps=rng.standard_normal(size, out=out), seed=seed,
+                   index=index)
 
 
 def _expit(x):
@@ -151,13 +157,25 @@ def _noise(vp: VariationalParams, eps) -> np.ndarray:
     return e
 
 
-def sample_weights(vp: VariationalParams, eps, *, sigma=None) -> np.ndarray:
+def sample_weights(vp: VariationalParams, eps, *, sigma=None, out=None,
+                   pruned=None) -> np.ndarray:
     """Pathwise sample W = m + softplus(rho) * eps; pruned entries stay 0.
-    ``sigma`` is softplus(vp.rho), if the caller already has it."""
-    w = vp.m + (vp.sigma if sigma is None else sigma) * _noise(vp, eps)
+    ``sigma`` is softplus(vp.rho) and ``pruned`` the indices of the pruned
+    entries, if the caller already has them; ``out``, if given, receives
+    W."""
+    w = np.multiply(vp.sigma if sigma is None else sigma, _noise(vp, eps),
+                    out=out)
+    np.add(vp.m, w, out=w)
     if vp.active is not None:
-        w = np.where(vp.active, w, 0.0)
+        w[_pruned(vp) if pruned is None else pruned] = 0.0
     return w
+
+
+def _pruned(vp: VariationalParams) -> np.ndarray:
+    """Indices of the pruned entries.  An index array, not the boolean
+    mask: numpy reads and writes a scattered subset by index several times
+    faster than through a mask."""
+    return np.flatnonzero(~vp.active)
 
 
 def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
@@ -213,10 +231,22 @@ def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior, *,
         sigma = vp.sigma
     if vp.active is None:
         return float(penalty_R(vp.m, sigma, vp.p, prior).sum())
-    act = vp.active
-    if not act.any():
+    act = np.flatnonzero(vp.active)
+    if not act.size:
         return 0.0
-    return float(penalty_R(vp.m[act], sigma[act], vp.p[act], prior).sum())
+    return float(penalty_R(vp.m.take(act), sigma.take(act), vp.p.take(act),
+                           prior).sum())
+
+
+def _penalty_screened(vp: VariationalParams, sigma, prior) -> bool:
+    """A cheap screen that sum R is finite: m @ m + sigma @ sigma, the sum
+    of every s = m^2 + sigma^2, over 2 tau0^2 stays below ``_SCREEN_LIMIT``.
+    Then every s / (2 tau^2) term is finite, and so are -log sigma (at most
+    745 for a positive sigma) and the entropy terms.  False means sum R may
+    overflow, not that it does."""
+    with np.errstate(over="ignore"):   # an overflow only trips the screen
+        s = vp.m @ vp.m + sigma @ sigma
+        return bool(s / (2.0 * prior.tau0**2) < _SCREEN_LIMIT)
 
 
 def _resolve_draws(n_params, mc_samples, noise, seed):
@@ -253,7 +283,8 @@ def objective_estimate(
     draws = _resolve_draws(len(vp), mc_samples, noise, seed)
     return _batch_step(topology, vp, prior, vp.sigma, kl_weight, x, y,
                        [_noise(vp, d) for d in draws], noise_variance,
-                       np.empty(2 * len(vp)), True)
+                       np.empty(2 * len(vp)), True,
+                       _DrawBuffers(topology, x.shape[0], vp))
 
 
 def step_gradients(
@@ -274,7 +305,8 @@ def step_gradients(
     size = len(vp)
     grad = np.empty(2 * size)
     _batch_step(topology, vp, prior, vp.sigma, kl_weight, x, y,
-                [_noise(vp, eps)], noise_variance, grad, False)
+                [_noise(vp, eps)], noise_variance, grad, False,
+                _DrawBuffers(topology, x.shape[0], vp))
     return grad[:size], grad[size:]
 
 
@@ -290,29 +322,51 @@ def _checked_step(topology, vp: VariationalParams, x, kl_weight):
     return x
 
 
+class _DrawBuffers:
+    """Every array a pathwise draw writes, allocated once for batches of up
+    to ``rows`` rows, so the draw loop allocates no batch- or
+    parameter-sized array: the noise ``eps``, the sampled weights ``w``, a
+    parameter-sized ``scratch``, one (rows, width) activation buffer per
+    affine layer (``acts``) and ``backward``'s ``work`` (the draw's gradient
+    plus one delta and one gate buffer per hidden layer).  ``pruned`` holds
+    the indices of the pruned entries, found once, or None for an unpruned
+    model."""
+
+    __slots__ = ("eps", "w", "scratch", "acts", "work", "pruned")
+
+    def __init__(self, topology, rows: int, vp: VariationalParams):
+        size = topology.n_params
+        self.eps = np.empty(size)
+        self.w = np.empty(size)
+        self.scratch = np.empty(size)
+        self.acts = [np.empty((rows, width))
+                     for width in topology.layer_sizes[1:]]
+        self.work = _backward_work(topology, rows)
+        self.pruned = None if vp.active is None else _pruned(vp)
+
+
 def _batch_step(topology, vp: VariationalParams, prior, sigma, kl, x, y,
-                noises, noise_variance, grad, with_penalty):
+                noises, noise_variance, grad, with_penalty, buf):
     """One minibatch step: fill ``grad`` = [grad_m | grad_rho] with the
     gradient averaged over the draws ``noises`` (standard-normal vectors,
     read one at a time) and return the mean over draws of NLL + kl * R.
 
-    ``sigma`` is softplus(vp.rho), ``kl`` the batch's penalty share.  The
+    ``sigma`` is softplus(vp.rho), ``kl`` the batch's penalty share and
+    ``buf`` the :class:`_DrawBuffers` every draw writes into.  The
     draw-free terms come first: dsigma/drho, kl * dR/dm and kl * dR/drho =
     kl * dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per draw one
-    :func:`_draw_step` and, if ``with_penalty``, one :func:`penalty_total`;
-    without it the objective is the mean NLL, with the same gradient bits.
+    :func:`_draw_step`, which adds its gradient to ``grad``, and, if
+    ``with_penalty``, one :func:`penalty_total`; without it the objective
+    is the mean NLL, with the same gradient bits.
     """
     d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
     sp = dsigma_drho(vp.rho)
     terms = sp, kl * d_m, kl * d_s2 * 2.0 * sigma * sp
-    size = len(vp)
     grad.fill(0.0)
     obj = 0.0
     for draws, e in enumerate(noises, 1):
-        gm, gr, data_nll = _draw_step(topology, vp, sigma, terms, x, y, e,
-                                      noise_variance)
-        grad[:size] += gm
-        grad[size:] += gr
+        data_nll = _draw_step(topology, vp, sigma, terms, x, y, e,
+                              noise_variance, buf, grad)
         # one sum with or without the penalty: data_nll + 0.0 is data_nll
         pen = (kl * penalty_total(vp, prior, sigma=sigma)
                if with_penalty else 0.0)
@@ -322,24 +376,32 @@ def _batch_step(topology, vp: VariationalParams, prior, sigma, kl, x, y,
 
 
 def _draw_step(topology, vp: VariationalParams, sigma, terms, x, y, e,
-               noise_variance):
-    """One pathwise draw: (grad_m, grad_rho, NLL) of the batch objective.
+               noise_variance, buf, grad):
+    """One pathwise draw: add its (grad_m, grad_rho) of the batch objective
+    to the halves of ``grad`` and return its NLL.
 
     The likelihood gradient from ``backward`` enters grad_m directly and
     grad_rho via eps * dsigma/drho.  ``terms`` is (dsigma/drho,
     kl * dR/dm, kl * dR/drho), shared by every draw of a step; ``e`` is
     the draw's standard-normal vector.  The caller has checked the
     shapes, so the forward loop runs without :func:`forward`'s checks or
-    copy; its trace holds ``w`` and lives only inside this call.
+    copy.  W, the activations, the deltas, the gates and both gradients
+    are written into ``buf``: the forward trace holds the in-place
+    activations, from which ``backward`` takes each gate.
     """
-    w = sample_weights(vp, e, sigma=sigma)
-    outputs, trace = _forward(topology, w, x)
+    w = sample_weights(vp, e, sigma=sigma, out=buf.w, pruned=buf.pruned)
+    outputs, trace = _forward(topology, w, x, out=buf.acts)
     data_nll, g_out = _nll_and_grad(outputs, y, noise_variance)
-    g_w = backward(trace, w, g_out)
+    g_w = backward(trace, w, g_out, work=buf.work)
     sp, pen_m, pen_rho = terms
-    grad_m = g_w + pen_m
-    grad_rho = g_w * e * sp + pen_rho
-    if vp.active is not None:
-        grad_m = np.where(vp.active, grad_m, 0.0)
-        grad_rho = np.where(vp.active, grad_rho, 0.0)
-    return grad_m, grad_rho, data_nll
+    size = len(vp)
+    grad_m = np.add(g_w, pen_m, out=buf.scratch)
+    grad_rho = g_w                 # g_w * e * sp + pen_rho, in g_w's buffer
+    grad_rho *= e
+    grad_rho *= sp
+    grad_rho += pen_rho
+    for part, half in ((grad_m, grad[:size]), (grad_rho, grad[size:])):
+        if buf.pruned is not None:
+            part[buf.pruned] = 0.0
+        half += part
+    return data_nll

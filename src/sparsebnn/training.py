@@ -11,7 +11,9 @@ per-draw work, then the optimizer step on the one buffer ``[m | rho]``
 that ``vp.m`` and ``vp.rho`` view, then sigma and p refreshed.  Sigma is
 computed once per step: the draws, the penalty and the epoch's
 mean-weight loss reuse it or need none.  Only masked runs apply the keep
-mask.  A fixed seed gives bit-identical results, pinned by
+mask: the draws zero the pruned entries of W and of the gradient, so the
+update's step there is 0 and leaves them unchanged, and their p are kept.
+A fixed seed gives bit-identical results, pinned by
 ``tests/test_golden.py``.
 
 The logged objective and the epoch's full-data ``train_loss`` are
@@ -20,12 +22,17 @@ the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
 Each ``train`` call allocates its workspace once: the ``[m | rho]`` and
-gradient buffers, the optimizer's moment and scratch vectors, and, with
+gradient buffers, the optimizer's moment and scratch vectors; one batch
+buffer for x and one for y, which each step gathers its rows into; the
+draw buffers (``svi._DrawBuffers``: the noise, W, the draw's gradient, a
+scratch vector, one activation buffer per layer and one delta and one
+gate buffer per hidden layer, all sized to the largest batch); and, with
 diagnostics on, one (n, width) buffer per layer for the epoch's full-data
-loss, which network's forward loop fills and activates in place.  So the
-epoch makes no (n, width) temporary and the optimizer no parameter-sized
-one, and every expression keeps the order, hence the bits, of its
-allocating form.
+loss.  Network's forward loop fills the activation buffers and activates
+in place, and ``backward`` writes its deltas and gates into theirs.  So
+the draw loop and the epoch make no batch- or (n, width)-sized temporary
+and the optimizer no parameter-sized one, and every expression keeps the
+order, hence the bits, of its allocating form.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from .svi import (
     SpikeSlabPrior,
     VariationalParams,
     _batch_step,
+    _DrawBuffers,
+    _penalty_screened,
     _resolve_draws,
     optimal_p,
     penalty_total,
@@ -179,6 +188,40 @@ def init_params(
     return vp
 
 
+class _Workspace:
+    """Every array one ``train`` run writes, allocated once (the module
+    docstring lists them).  Building it makes ``vp.m`` and ``vp.rho`` views
+    of ``theta`` = [m | rho].  ``batches`` holds, per minibatch, its
+    (start, stop) in the epoch's permutation and its x and y buffers: views,
+    sliced once per run, of one batch buffer with the largest batch's rows
+    (np.array_split gives at most two batch sizes)."""
+
+    def __init__(self, topology, vp: VariationalParams, config, dataset,
+                 diagnostics):
+        size = len(vp)
+        self.theta = np.concatenate([vp.m, vp.rho])
+        vp.m, vp.rho = self.theta[:size], self.theta[size:]
+        self.grad = np.empty(2 * size)
+        optimizer = _Adam if config.optimizer == "adam" else _Sgd
+        self.opt = optimizer(config.learning_rate, 2 * size)
+        self.loss_out = None
+        if diagnostics:
+            # one buffer per layer for the epoch's full-data loss pass
+            self.loss_out = [np.empty((dataset.n, width))
+                             for width in topology.layer_sizes[1:]]
+        n_batches = -(-dataset.n // config.batch_size)
+        # the cut points of np.array_split(perm, n_batches)
+        small, extra = divmod(dataset.n, n_batches)
+        bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
+        rows = small + (extra > 0)
+        self.draws = _DrawBuffers(topology, rows, vp)
+        x_buf = np.empty((rows, dataset.n_features))
+        y_buf = np.empty((rows,) + dataset.y.shape[1:])
+        views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
+        self.batches = [(lo, hi) + views[hi - lo]
+                        for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _mean_weights(vp: VariationalParams) -> np.ndarray:
     """The weights at the posterior mean, W = m; pruned entries are 0."""
     return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
@@ -219,10 +262,11 @@ def train(
     still checks the mean data NLL (as "objective") and the gradient at
     every step; when the gradient is non-finite it computes the penalty
     value, so the abort names the quantity a run with diagnostics names.
-    A step whose gradient and data NLL are finite but whose penalty value
-    is not (some m^2 + sigma^2 overflows, yet its weights touch only
-    all-zero inputs) is not checked: with diagnostics on it aborts on
-    "objective", with them off the run goes on.
+    The penalty value alone may overflow too (some m^2 + sigma^2
+    overflows, yet its weights touch only all-zero inputs), so each step
+    also screens m @ m + sigma @ sigma (``svi._penalty_screened``); only
+    when the screen trips does it compute the penalty value, and a
+    non-finite one aborts on "objective", as with diagnostics on.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -241,26 +285,10 @@ def train(
         topology, prior, config, master
     )
     size = len(vp)
-    theta = np.concatenate([vp.m, vp.rho])
-    vp.m, vp.rho = theta[:size], theta[size:]
-    grad = np.empty(2 * size)
-    active = vp.active
-    # entries of [m | rho] the update writes: all, or the unpruned ones
-    keep = True if active is None else np.concatenate([active, active])
-    if config.optimizer == "adam":
-        opt = _Adam(config.learning_rate, 2 * size)
-    else:
-        opt = _Sgd(config.learning_rate, 2 * size)
-    if diagnostics:
-        # one buffer per layer for the epoch's full-data loss pass
-        loss_out = [np.empty((dataset.n, width))
-                    for width in topology.layer_sizes[1:]]
-
-    n_batches = -(-dataset.n // config.batch_size)
-    kl_weights = minibatch_weights(n_batches, config.kl_schedule)
-    # the cut points of np.array_split(perm, n_batches)
-    small, extra = divmod(dataset.n, n_batches)
-    bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
+    ws = _Workspace(topology, vp, config, dataset, diagnostics)
+    theta, grad, buf = ws.theta, ws.grad, ws.draws
+    pruned = buf.pruned
+    kl_weights = minibatch_weights(len(ws.batches), config.kl_schedule)
     objective = np.zeros(config.epochs)
     train_loss = np.zeros(config.epochs)
     wall_ms = np.zeros(config.epochs)
@@ -272,34 +300,42 @@ def train(
         t0 = time.perf_counter()
         perm = master.permutation(dataset.n)
         epoch_obj = 0.0
-        for b in range(n_batches):
-            idx = perm[bounds[b]:bounds[b + 1]]
-            xb, yb = x_all.take(idx, axis=0), y_all.take(idx, axis=0)
+        for b, (lo, hi, xb, yb) in enumerate(ws.batches):
+            # mode="clip" gathers straight into the buffer, where "raise"
+            # would fill a temporary first; a permutation's slice never clips
+            idx = perm[lo:hi]
+            x_all.take(idx, axis=0, out=xb, mode="clip")
+            y_all.take(idx, axis=0, out=yb, mode="clip")
             kl = kl_weights[b]
-            noises = (NoiseDraw.draw(size, config.seed, i).eps for i in
-                      range(draw_index, draw_index + config.mc_samples))
+            noises = (NoiseDraw.draw(size, config.seed, i, out=buf.eps).eps
+                      for i in range(draw_index,
+                                     draw_index + config.mc_samples))
             draw_index += config.mc_samples
             obj = _batch_step(topology, vp, prior, sigma, kl, xb, yb, noises,
-                              config.noise_variance, grad, diagnostics)
+                              config.noise_variance, grad, diagnostics, buf)
             grad_ok = np.isfinite(grad).all()
-            if not (grad_ok or diagnostics):
-                # name the culprit as a run with diagnostics would
+            if not (diagnostics
+                    or (grad_ok and _penalty_screened(vp, sigma, prior))):
+                # the penalty value, as a run with diagnostics has it, so
+                # the abort names the same culprit
                 obj += kl * penalty_total(vp, prior, sigma=sigma)
             if not math.isfinite(obj):
                 raise NumericalAbort(step, "objective")
             if not grad_ok:
                 bad_m = not np.isfinite(grad[:size]).all()
                 raise NumericalAbort(step, "grad_m" if bad_m else "grad_rho")
-            np.subtract(theta, opt.update(grad), out=theta, where=keep)
+            np.subtract(theta, ws.opt.update(grad), out=theta)
             sigma = sigma_of_rho(vp.rho)
             p = optimal_p(vp.m, sigma, prior)
-            vp.p = p if active is None else np.where(active, p, vp.p)
+            if pruned is not None:
+                p[pruned] = vp.p[pruned]
+            vp.p = p
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj
         if diagnostics:
             train_loss[epoch] = _train_loss(topology, vp, x_all, y_all,
-                                            loss_out)
+                                            ws.loss_out)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
         objective=objective if diagnostics else None,

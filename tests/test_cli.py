@@ -649,7 +649,11 @@ BAD_INPUTS = [
           ("gradcheck-m-nan", "nan,0.3,0.5,1,0.1",
            "setting 1: m = nan"),
           ("gradcheck-sigma-1e-14", "0.5,1e-14,0.5,1,0.1",
-           "setting 1: sigma = 1e-14 is too small for m = 0.5"))),
+           "setting 1: sigma = 1e-14 is too small for m = 0.5"),
+          # sigma^2 is a normal float, but the estimators' 1 / sigma^2
+          # terms overflow
+          ("gradcheck-sigma-1e-150", "0.0,1e-150,0.5,1,0.1",
+           "setting 1: at m = 0.0, sigma = 1e-150, the estimators fail"))),
     pytest.param(lambda run, tmp: [
         "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
         "--grid", "0.5,x"], "--grid value 'x'", id="select-grid-x"),

@@ -20,7 +20,7 @@ from sparsebnn import (
     nll,
     nll_grad,
 )
-from sparsebnn.network import layer_slices
+from sparsebnn.network import _backward_work, _forward, layer_slices
 
 
 def _pack(layers):
@@ -232,3 +232,29 @@ class TestBackward:
         out, trace = forward(topo, w, rng.standard_normal((3, 2)))
         with pytest.raises(ShapeMismatch):
             backward(trace, w, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_backward_into_work_buffers_is_bit_equal(activation, masked):
+    # work buffers with more rows than the batch, and a forward that keeps
+    # only the in-place activations, give the allocating path's bits; the
+    # masked W has units whose z is exactly 0, relu's kink
+    rng = np.random.default_rng(31)
+    topo = NetworkTopology((4, 6, 5, 2), hidden_activation=activation)
+    w = rng.standard_normal(topo.n_params)
+    if masked:
+        w[rng.random(topo.n_params) < 0.6] = 0.0
+    x = rng.standard_normal((7, 4))
+    g_out = rng.standard_normal((7, 2))
+    out, trace = forward(topo, w, x)
+    want = backward(trace, w, g_out).tobytes()
+    rows = 10
+    work = _backward_work(topo, rows)
+    assert backward(trace, w, g_out, work=work) is work[0]
+    assert work[0].tobytes() == want
+    acts = [np.empty((rows, width)) for width in topo.layer_sizes[1:]]
+    out_in_place, in_place = _forward(topo, w, x, out=acts)
+    assert in_place.pre == [] and out_in_place.tobytes() == out.tobytes()
+    grad = backward(in_place, w, g_out, work=_backward_work(topo, rows))
+    assert grad.tobytes() == want

@@ -1,6 +1,7 @@
 """Optimization loop, prediction modes, and checkpoint round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,55 @@ def test_nan_weight_aborts_on_objective_with_diagnostics_off():
                   TrainConfig(epochs=2, batch_size=64, seed=3), init=start,
                   diagnostics=False)
     assert (err.value.step, err.value.quantity) == (0, "objective")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False],
+                         ids=["diagnostics", "bare"])
+def test_penalty_overflow_aborts_on_objective_without_diagnostics_too(
+        diagnostics):
+    # the weight from an all-zero input column leaves the data NLL and the
+    # gradient finite, but its m^2 overflows sum R; the diagnostics-off
+    # screen on m @ m + sigma @ sigma catches what the penalty value shows
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((64, 3))
+    x[:, 1] = 0.0
+    ds = Dataset(x, rng.standard_normal(64), ["a", "b", "c"])
+    topo = NetworkTopology((3, 4, 1))
+    n = topo.n_params
+    start = VariationalParams(np.zeros(n), np.full(n, -3.0),
+                              np.full(n, 0.5))
+    start.m[1 * 4 + 2] = 1e155          # input 1 -> hidden unit 2
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                  TrainConfig(epochs=2, batch_size=32, seed=3), init=start,
+                  diagnostics=diagnostics)
+    assert (err.value.step, err.value.quantity) == (0, "objective")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False],
+                         ids=["diagnostics", "bare"])
+def test_more_draws_per_step_take_no_more_memory(diagnostics):
+    # every draw writes into the run's buffers, so no draw's arrays outlive
+    # it: a step of four draws peaks within one parameter vector of a step
+    # of one.  The second call of each is measured, past one-off caches.
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.standard_normal((600, 30)), rng.standard_normal(600),
+                 [f"x{j}" for j in range(30)])
+    topo = NetworkTopology((30, 60, 30, 1), hidden_activation="tanh")
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    peaks = []
+    for draws in (1, 4):
+        config = TrainConfig(epochs=2, batch_size=200, mc_samples=draws,
+                             seed=5)
+        train(topo, prior, ds, config, diagnostics=diagnostics)
+        tracemalloc.start()
+        try:
+            train(topo, prior, ds, config, diagnostics=diagnostics)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * topo.n_params, peaks
 
 
 # divergent runs; in all but the last the gradient and the penalty value
