@@ -54,13 +54,11 @@ from .svi import (
     SpikeSlabPrior,
     VariationalParams,
     grad_penalty,
-    objective_estimate,
     optimal_p,
     penalty_R,
     penalty_total,
     sample_weights,
     sigma_of_rho,
-    step_gradients,
 )
 from .training import (
     NumericalAbort,
@@ -68,7 +66,9 @@ from .training import (
     TrainReport,
     init_params,
     minibatch_weights,
+    objective_estimate,
     predict,
+    step_gradients,
     train,
 )
 

@@ -284,10 +284,10 @@ def cmd_train(args) -> int:
     opts = resolve_options(args)
     if args.data is None:
         raise ConfigError("train requires --data")
-    train_ds, _, _ = _split(build_dataset(args.data), opts)
-    topology = _topology_from(opts, train_ds.n_features)
     prior = _prior_from(opts)
     config = _train_config_from(opts)
+    train_ds, _, _ = _split(build_dataset(args.data), opts)
+    topology = _topology_from(opts, train_ds.n_features)
     # only once every option is accepted, so a rejected run leaves no dir
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -484,7 +484,7 @@ def cmd_gradcheck(args) -> int:
     settings = [(m, s, 0.5, 1.0, 0.1)
                 for m in (-1.0, 0.0, 0.5, 2.0) for s in (0.3, 1.0)]
     if args.settings:
-        settings = [[float(t) for t in block.split(",")]
+        settings = [_parse_numbers(block, "gradcheck setting")
                     for block in args.settings.split(";")]
         if any(len(vals) != 5 for vals in settings):
             raise ConfigError(

@@ -6,33 +6,31 @@ refreshes every inclusion probability from its closed form.  The penalty
 share is either uniform (1/M per batch) or the geometric schedule
 r_i = 2^(M-i) / (2^M - 1).
 
-A step is one ``svi._batch_step`` call, whose docstring states the
-per-draw work, then the optimizer step on the one buffer ``[m | rho]``
+A step is one call of the run's :class:`_Step`, whose docstring states
+the per-draw work, then the optimizer step on the one buffer ``[m | rho]``
 that ``vp.m`` and ``vp.rho`` view, then sigma and p refreshed.  Sigma is
 computed once per step: the draws, the penalty and the epoch's
 mean-weight loss reuse it or need none.  Only masked runs apply the keep
-mask: the draws zero the pruned entries of W and of the gradient, so the
-update's step there is 0 and leaves them unchanged, and their p are kept.
-A fixed seed gives bit-identical results, pinned by
-``tests/test_golden.py``.
+mask: the draws zero the pruned entries of W and the step zeroes them in
+the gradient, so the update's step there is 0 and leaves them unchanged,
+and their p are kept.  :func:`objective_estimate` and
+:func:`step_gradients` are one call of a :class:`_Step` too.  A fixed
+seed gives bit-identical results, pinned by ``tests/test_golden.py``.
 
 The logged objective and the epoch's full-data ``train_loss`` are
 diagnostics that no parameter depends on.  ``diagnostics=False`` skips
 the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
-Each ``train`` call allocates its workspace once: the ``[m | rho]`` and
-gradient buffers, the optimizer's moment and scratch vectors; one batch
-buffer for x and one for y, which each step gathers its rows into; the
-draw buffers (``svi._DrawBuffers``: the noise, W, the draw's gradient, a
-scratch vector, one activation buffer per layer and one delta and one
-gate buffer per hidden layer, all sized to the largest batch); and, with
-diagnostics on, one (n, width) buffer per layer for the epoch's full-data
-loss.  Network's forward loop fills the activation buffers and activates
-in place, and ``backward`` writes its deltas and gates into theirs.  So
-the draw loop and the epoch make no batch- or (n, width)-sized temporary
-and the optimizer no parameter-sized one, and every expression keeps the
-order, hence the bits, of its allocating form.
+Each ``train`` call allocates its workspace once: the ``[m | rho]``
+buffer, the optimizer's moment and scratch vectors; one batch buffer for
+x and one for y, which each step gathers its rows into; the
+:class:`_Step`, with the gradient and every buffer a draw writes, sized
+to the largest batch; and, with diagnostics on, one (n, width) buffer per
+layer for the epoch's full-data loss.  So the draw loop and the epoch
+make no batch- or (n, width)-sized temporary and the optimizer no
+parameter-sized one, and every expression keeps the order, hence the
+bits, of its allocating form.
 """
 
 from __future__ import annotations
@@ -40,23 +38,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .datasets import Dataset
-from .network import NetworkTopology, ShapeMismatch, _forward, forward
+from .network import (
+    NetworkTopology, ShapeMismatch, _backward_work, _check_inputs,
+    _check_params, _forward, _nll_and_grad, backward, forward,
+)
 from .svi import (
-    NoiseDraw,
-    SpikeSlabPrior,
-    VariationalParams,
-    _batch_step,
-    _DrawBuffers,
-    _penalty_screened,
-    _resolve_draws,
-    optimal_p,
-    penalty_total,
-    sample_weights,
+    NoiseDraw, SpikeSlabPrior, VariationalParams, _noise, _pruned,
+    dsigma_drho, grad_penalty, optimal_p, penalty_total, sample_weights,
     sigma_of_rho,
 )
 
@@ -67,6 +60,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_M_STD = 0.1  # initial means ~ N(0, INIT_M_STD^2)
 INIT_RHO = -3.0  # initial sigma = softplus(INIT_RHO)
+# below this, sum(m^2 + sigma^2) / (2 tau0^2) leaves every term of sum R finite
+_SCREEN_LIMIT = 1e300
 
 
 class NumericalAbort(RuntimeError):
@@ -94,16 +89,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.mc_samples < 1:
             raise ValueError("epochs, batch_size, mc_samples must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.kl_schedule not in KL_SCHEDULES:
             raise ValueError(f"kl_schedule must be one of {KL_SCHEDULES}")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not (math.isfinite(self.noise_variance)
+                and self.noise_variance > 0):
+            raise ValueError("noise_variance must be finite and positive, "
+                             f"got {self.noise_variance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -188,20 +186,96 @@ def init_params(
     return vp
 
 
+class _Step:
+    """The minibatch step of ``vp``'s pathwise objective, with the gradient
+    ``grad`` = [grad_m | grad_rho] and every array a draw writes, allocated
+    once for batches of up to ``rows`` rows: the noise ``eps``, the sampled
+    weights ``w``, a parameter-sized ``scratch``, one (rows, width)
+    activation buffer per affine layer (``acts``) and ``backward``'s
+    ``work`` (the draw's gradient plus one delta and one gate buffer per
+    hidden layer).  ``pruned`` holds the indices of the pruned entries,
+    found once, or None for an unpruned model."""
+
+    __slots__ = ("topology", "vp", "prior", "noise_variance", "grad", "eps",
+                 "w", "scratch", "acts", "work", "pruned")
+
+    def __init__(self, topology, vp: VariationalParams, prior,
+                 noise_variance, rows: int):
+        size = len(vp)
+        self.topology, self.vp, self.prior = topology, vp, prior
+        self.noise_variance = noise_variance
+        self.grad = np.empty(2 * size)
+        self.eps = np.empty(size)
+        self.w = np.empty(size)
+        self.scratch = np.empty(size)
+        self.acts = [np.empty((rows, width))
+                     for width in topology.layer_sizes[1:]]
+        self.work = _backward_work(topology, rows)
+        self.pruned = None if vp.active is None else _pruned(vp)
+
+    def __call__(self, sigma, kl, x, y, noises, with_penalty) -> float:
+        """Fill ``grad`` with the gradient averaged over the draws
+        ``noises`` (standard-normal vectors, read one at a time) and return
+        the mean over draws of NLL + kl * R.
+
+        ``sigma`` is softplus(vp.rho) and ``kl`` the batch's penalty share.
+        The draw-free terms come first: dsigma/drho, kl * dR/dm and
+        kl * dR/drho = kl * dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per
+        draw: W sampled into ``w``, the forward loop into ``acts`` (the
+        caller has checked the shapes, so without :func:`forward`'s checks
+        or copy), the NLL and its output gradient from one residual,
+        ``backward`` into ``work`` (it takes each gate from the in-place
+        activations), and the draw's gradient added to ``grad``: the
+        likelihood gradient enters grad_m directly and grad_rho via
+        eps * dsigma/drho.  If ``with_penalty``, each draw also makes one
+        :func:`penalty_total` call; without it the objective is the mean
+        NLL, with the same gradient bits.  After the draws the pruned
+        entries of ``grad`` are zeroed.
+        """
+        vp, prior, grad = self.vp, self.prior, self.grad
+        d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
+        sp = dsigma_drho(vp.rho)
+        pen_m, pen_rho = kl * d_m, kl * d_s2 * 2.0 * sigma * sp
+        size = len(vp)
+        grad_m, grad_rho = grad[:size], grad[size:]
+        grad.fill(0.0)
+        obj = 0.0
+        for draws, e in enumerate(noises, 1):
+            w = sample_weights(vp, e, sigma=sigma, out=self.w,
+                               pruned=self.pruned)
+            outputs, trace = _forward(self.topology, w, x, out=self.acts)
+            data_nll, g_out = _nll_and_grad(outputs, y, self.noise_variance)
+            g_w = backward(trace, w, g_out, work=self.work)
+            grad_m += np.add(g_w, pen_m, out=self.scratch)
+            g_w *= e                 # g_w * e * sp + pen_rho, in g_w's buffer
+            g_w *= sp
+            g_w += pen_rho
+            grad_rho += g_w
+            # one sum with or without the penalty: data_nll + 0.0 is data_nll
+            pen = (kl * penalty_total(vp, prior, sigma=sigma)
+                   if with_penalty else 0.0)
+            obj += data_nll + pen
+        if self.pruned is not None:
+            grad_m[self.pruned] = 0.0
+            grad_rho[self.pruned] = 0.0
+        grad /= draws
+        return obj / draws
+
+
 class _Workspace:
     """Every array one ``train`` run writes, allocated once (the module
     docstring lists them).  Building it makes ``vp.m`` and ``vp.rho`` views
-    of ``theta`` = [m | rho].  ``batches`` holds, per minibatch, its
-    (start, stop) in the epoch's permutation and its x and y buffers: views,
-    sliced once per run, of one batch buffer with the largest batch's rows
-    (np.array_split gives at most two batch sizes)."""
+    of ``theta`` = [m | rho]; ``step`` is the run's :class:`_Step`.
+    ``batches`` holds, per minibatch, its (start, stop) in the epoch's
+    permutation and its x and y buffers: views, sliced once per run, of one
+    batch buffer with the largest batch's rows (np.array_split gives at
+    most two batch sizes)."""
 
-    def __init__(self, topology, vp: VariationalParams, config, dataset,
-                 diagnostics):
+    def __init__(self, topology, vp: VariationalParams, prior, config,
+                 dataset, diagnostics):
         size = len(vp)
         self.theta = np.concatenate([vp.m, vp.rho])
         vp.m, vp.rho = self.theta[:size], self.theta[size:]
-        self.grad = np.empty(2 * size)
         optimizer = _Adam if config.optimizer == "adam" else _Sgd
         self.opt = optimizer(config.learning_rate, 2 * size)
         self.loss_out = None
@@ -214,7 +288,7 @@ class _Workspace:
         small, extra = divmod(dataset.n, n_batches)
         bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
         rows = small + (extra > 0)
-        self.draws = _DrawBuffers(topology, rows, vp)
+        self.step = _Step(topology, vp, prior, config.noise_variance, rows)
         x_buf = np.empty((rows, dataset.n_features))
         y_buf = np.empty((rows,) + dataset.y.shape[1:])
         views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
@@ -264,7 +338,7 @@ def train(
     value, so the abort names the quantity a run with diagnostics names.
     The penalty value alone may overflow too (some m^2 + sigma^2
     overflows, yet its weights touch only all-zero inputs), so each step
-    also screens m @ m + sigma @ sigma (``svi._penalty_screened``); only
+    also screens m @ m + sigma @ sigma (:func:`_penalty_screened`); only
     when the screen trips does it compute the penalty value, and a
     non-finite one aborts on "objective", as with diagnostics on.
     """
@@ -285,9 +359,9 @@ def train(
         topology, prior, config, master
     )
     size = len(vp)
-    ws = _Workspace(topology, vp, config, dataset, diagnostics)
-    theta, grad, buf = ws.theta, ws.grad, ws.draws
-    pruned = buf.pruned
+    ws = _Workspace(topology, vp, prior, config, dataset, diagnostics)
+    theta, batch_step = ws.theta, ws.step
+    grad, pruned = batch_step.grad, batch_step.pruned
     kl_weights = minibatch_weights(len(ws.batches), config.kl_schedule)
     objective = np.zeros(config.epochs)
     train_loss = np.zeros(config.epochs)
@@ -307,12 +381,12 @@ def train(
             x_all.take(idx, axis=0, out=xb, mode="clip")
             y_all.take(idx, axis=0, out=yb, mode="clip")
             kl = kl_weights[b]
-            noises = (NoiseDraw.draw(size, config.seed, i, out=buf.eps).eps
+            noises = (NoiseDraw.draw(size, config.seed, i,
+                                     out=batch_step.eps).eps
                       for i in range(draw_index,
                                      draw_index + config.mc_samples))
             draw_index += config.mc_samples
-            obj = _batch_step(topology, vp, prior, sigma, kl, xb, yb, noises,
-                              config.noise_variance, grad, diagnostics, buf)
+            obj = batch_step(sigma, kl, xb, yb, noises, diagnostics)
             grad_ok = np.isfinite(grad).all()
             if not (diagnostics
                     or (grad_ok and _penalty_screened(vp, sigma, prior))):
@@ -342,6 +416,87 @@ def train(
         train_loss=train_loss if diagnostics else None, wall_ms=wall_ms,
         params=vp, draw_count=draw_index,
     )
+
+
+def _penalty_screened(vp: VariationalParams, sigma, prior) -> bool:
+    """A cheap screen that sum R is finite: m @ m + sigma @ sigma, the sum
+    of every s = m^2 + sigma^2, over 2 tau0^2 stays below ``_SCREEN_LIMIT``.
+    Then every s / (2 tau^2) term is finite, and so are -log sigma (at most
+    745 for a positive sigma) and the entropy terms.  False means sum R may
+    overflow, not that it does."""
+    with np.errstate(over="ignore"):   # an overflow only trips the screen
+        s = vp.m @ vp.m + sigma @ sigma
+        return bool(s / (2.0 * prior.tau0**2) < _SCREEN_LIMIT)
+
+
+def _resolve_draws(n_params, mc_samples, noise, seed):
+    if noise is not None:
+        draws = [noise] if isinstance(noise, NoiseDraw) else list(noise)
+        if len(draws) != mc_samples:
+            raise ValueError(
+                f"expected {mc_samples} noise draws, got {len(draws)}"
+            )
+        return draws
+    return [NoiseDraw.draw(n_params, seed, l) for l in range(mc_samples)]
+
+
+def _checked_step(topology, vp: VariationalParams, x, kl_weight):
+    """Check ``kl_weight``, the parameters and the non-empty input batch;
+    return the checked x."""
+    if not 0.0 < kl_weight <= 1.0:
+        raise ValueError(f"kl_weight must lie in (0, 1], got {kl_weight}")
+    _check_params(topology, vp.m)
+    x = _check_inputs(topology, x)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    return x
+
+
+def objective_estimate(
+    topology,
+    vp: VariationalParams,
+    prior: SpikeSlabPrior,
+    x,
+    y,
+    mc_samples: int = 1,
+    kl_weight: float = 1.0,
+    noise: Optional[Sequence[NoiseDraw]] = None,
+    seed: int = 0,
+    noise_variance: float = 1.0,
+) -> float:
+    """Monte Carlo estimate of the batch objective, the mean over
+    ``mc_samples`` pathwise draws of NLL + ``kl_weight * sum_i R_i``, where
+    ``kl_weight`` in (0, 1] is the minibatch share of the penalty.  It is
+    a :class:`_Step`'s value, so at the same parameters, rows and draws it
+    is bit for bit the batch objective :func:`train` logs."""
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+    x = _checked_step(topology, vp, x, kl_weight)
+    draws = _resolve_draws(len(vp), mc_samples, noise, seed)
+    step = _Step(topology, vp, prior, noise_variance, x.shape[0])
+    return step(vp.sigma, kl_weight, x, y, [_noise(vp, d) for d in draws],
+                True)
+
+
+def step_gradients(
+    topology,
+    vp: VariationalParams,
+    prior: SpikeSlabPrior,
+    x,
+    y,
+    eps: NoiseDraw,
+    kl_weight: float = 1.0,
+    noise_variance: float = 1.0,
+):
+    """One-draw pathwise gradients (grad_m, grad_rho) of the batch objective,
+    computed by a :class:`_Step` with the one draw ``eps``: the gradient of
+    a :func:`train` step is the mean of these over its draws.
+    """
+    x = _checked_step(topology, vp, x, kl_weight)
+    step = _Step(topology, vp, prior, noise_variance, x.shape[0])
+    step(vp.sigma, kl_weight, x, y, [_noise(vp, eps)], False)
+    size = len(vp)
+    return step.grad[:size], step.grad[size:]
 
 
 def predict(

@@ -104,7 +104,13 @@ class TestTrainCommand:
     @pytest.mark.parametrize("argv, conf", [
         ([], "optimizer = rmsprop\n"),
         (["--hidden", "a"], ""),
-    ], ids=["config-optimizer-rmsprop", "hidden-a"])
+        (["--lr", "nan"], ""),
+        (["--lr", "1e400"], ""),
+        (["--noise-variance", "inf"], ""),
+        (["--log-tau1", "inf"], ""),
+        (["--seed", "-1"], ""),
+    ], ids=["config-optimizer-rmsprop", "hidden-a", "lr-nan", "lr-1e400",
+            "noise-variance-inf", "log-tau1-inf", "seed-minus-1"])
     def test_rejected_option_leaves_no_output_dir(self, tmp_path, argv,
                                                   conf):
         out = tmp_path / "never"
@@ -583,11 +589,17 @@ BAD_INPUTS = [
         "train", "--data", BAD_DATA, "--seed", "x", "--out", str(tmp / "x")],
         "--seed: seed = 'x'", id="cli-seed-x"),
     pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--seed", "-1", "--out", str(tmp / "x")],
+        "seed must be >= 0, got -1", id="cli-seed-minus-1"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--lr", "nan", "--out", str(tmp / "x")],
+        "learning_rate must be finite and positive, got nan", id="cli-lr-nan"),
+    pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--hidden", "a", "--out", str(tmp / "x")],
         "'a'", id="train-hidden-a"),
     pytest.param(lambda run, tmp: [
         "gradcheck", "--settings", "a,b,c,d,e", "--out", str(tmp / "g.csv")],
-        "'a'", id="gradcheck-settings-a"),
+        "gradcheck setting 'a' is not a number", id="gradcheck-settings-a"),
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--hidden", "10,x",
         "--out", str(tmp / "x")],
@@ -727,8 +739,8 @@ def test_each_option_resolves_alike_from_every_source(option_dir, data):
     parser = build_parser()
     for key, default in DEFAULTS.items():
         kind = int if key == "split_seed" else type(default)
-        value = data.draw(_OPTION_VALUES.get(key) or _OPTION_VALUES[kind],
-                          label=key)
+        value = data.draw(_OPTION_VALUES[key] if key in _OPTION_VALUES
+                          else _OPTION_VALUES[kind], label=key)
         text = str(value)
         sources = {}
         if key != "standardize":  # set only from a config file

@@ -188,8 +188,8 @@ def test_fixed_seed_run_matches_golden_hashes(name):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_diagnostics_off_keeps_the_golden_params(name, monkeypatch):
-    # the step computes the penalty in svi, the abort path and the epoch
-    # loss in training
+    # the step, the abort path and the epoch loss run in training; the svi
+    # spy catches a penalty computed through svi's own name
     calls = Counter()
     for module, attr in ((sparsebnn.svi, "penalty_total"),
                          (sparsebnn.training, "penalty_total"),

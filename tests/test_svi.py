@@ -35,6 +35,10 @@ class TestPrior:
         with pytest.raises(ValueError, match="pi"):
             SpikeSlabPrior(pi=1.0, tau1=1.0, tau0=0.1)
 
+    def test_rejects_infinite_slab_scale(self):
+        with pytest.raises(ValueError, match="tau1 must be finite, got inf"):
+            SpikeSlabPrior(pi=0.5, tau1=math.inf, tau0=0.1)
+
 
 class TestSigmaOfRho:
     def test_at_zero(self):

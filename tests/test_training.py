@@ -51,6 +51,16 @@ class TestMinibatchWeights:
             minibatch_weights(4, "linear")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("learning_rate", 0.0), ("noise_variance", math.nan),
+    ("noise_variance", math.inf), ("noise_variance", -1.0), ("seed", -1),
+])
+def test_config_rejects_non_finite_or_negative_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*got {value}$"):
+        TrainConfig(**{field: value})
+
+
 def _linear_dataset(n=400, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -508,3 +518,39 @@ def test_one_step_is_objective_estimate_and_step_gradients(draws, pruned):
                  - config.learning_rate * grad)
         assert np.array_equal(report.params.m, theta[:size]), seed
         assert np.array_equal(report.params.rho, theta[size:]), seed
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["diag", "nodiag"])
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_pruned_entries_stay_frozen_through_training(optimizer, draws,
+                                                     diagnostics):
+    # the step zeroes the gradient's pruned entries once, after its draws:
+    # every update then leaves their m at +0.0 and their rho and p as the
+    # init has them, bit for bit
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.standard_normal((90, 3)), rng.standard_normal(90),
+                 ["a", "b", "c"])
+    topo = NetworkTopology((3, 6, 4, 1), hidden_activation="tanh")
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    m = rng.normal(0.0, 0.5, topo.n_params)
+    rho = rng.normal(-2.0, 0.5, topo.n_params)
+    _, start = prune(VariationalParams(
+        m, rho, optimal_p(m, np.logaddexp(0, rho), prior)), "inclusion_p", 0.5)
+    gone = np.flatnonzero(~start.active)
+    assert gone.size == -(-topo.n_params // 2)     # half, rounded up
+    config = TrainConfig(epochs=3, batch_size=32, optimizer=optimizer,
+                         mc_samples=draws, seed=5)
+    vp = train(topo, prior, ds, config, init=start,
+               diagnostics=diagnostics).params
+    assert np.all(vp.m[gone] == 0.0) and not np.signbit(vp.m[gone]).any()
+    assert vp.rho[gone].tobytes() == start.rho[gone].tobytes()
+    assert vp.p[gone].tobytes() == start.p[gone].tobytes()
+    kept = start.active
+    assert not np.array_equal(vp.m[kept], start.m[kept])
+    for i in range(draws):
+        eps = NoiseDraw.draw(topo.n_params, 9, i)
+        for g in step_gradients(topo, vp, prior, ds.X, ds.y, eps,
+                                kl_weight=0.5):
+            assert np.all(g[gone] == 0.0) and not np.signbit(g[gone]).any()
+            assert np.any(g[kept] != 0.0)
