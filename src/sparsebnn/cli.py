@@ -222,11 +222,11 @@ def resolve_options(args) -> dict:
 
 
 def _prior_from(opts) -> SpikeSlabPrior:
-    return SpikeSlabPrior(
-        pi=opts["prior_pi"],
-        tau1=float(np.exp(opts["log_tau1"])),
-        tau0=float(np.exp(opts["log_tau0"])),
-    )
+    # an overflow gives an infinite scale, which SpikeSlabPrior names
+    with np.errstate(over="ignore"):
+        tau1, tau0 = np.exp(opts["log_tau1"]), np.exp(opts["log_tau0"])
+    return SpikeSlabPrior(pi=opts["prior_pi"], tau1=float(tau1),
+                          tau0=float(tau0))
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
@@ -463,8 +463,8 @@ def cmd_benchmark(args) -> int:
         topology = _topology_from(opts, full.n_features)
         sweeps = []
         for r in range(repeats):
-            train_ds, test_ds, scaler = _split(full, opts, r)
             config = _train_config_from({**opts, "seed": opts["seed"] + r})
+            train_ds, test_ds, scaler = _split(full, opts, r)
             report = train(topology, prior, train_ds, config,
                            diagnostics=False)
             sweeps.append(_sweep(topology, report.params, rule, rates,

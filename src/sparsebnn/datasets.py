@@ -205,6 +205,8 @@ def split(dataset: Dataset, train_fraction: float = 0.9, seed: int = 0):
         raise ValueError(
             f"train_fraction must lie in (0, 1), got {train_fraction}"
         )
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     n_train = int(round(train_fraction * dataset.n))
@@ -218,6 +220,8 @@ def kfold_indices(n: int, folds: int, seed: int = 0):
         raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise ValueError(f"dataset of {n} rows is smaller than {folds} folds")
+    if seed < 0:
+        raise ValueError(f"fold seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     for part in np.array_split(perm, folds):

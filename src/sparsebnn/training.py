@@ -24,13 +24,16 @@ parameter bits; callers that read only the trained parameters use it.
 
 Each ``train`` call allocates its workspace once: the ``[m | rho]``
 buffer, the optimizer's moment and scratch vectors; one batch buffer for
-x and one for y, which each step gathers its rows into; the
-:class:`_Step`, with the gradient and every buffer a draw writes, sized
-to the largest batch; and, with diagnostics on, one (n, width) buffer per
-layer for the epoch's full-data loss.  So the draw loop and the epoch
-make no batch- or (n, width)-sized temporary and the optimizer no
-parameter-sized one, and every expression keeps the order, hence the
-bits, of its allocating form.
+x and one for y, which each step gathers its rows into; and the
+:class:`_Step`, with the gradient, the parameter-sized vectors a draw
+writes and one row buffer per affine layer.  That layer buffer has
+max(2 * batch, n) rows, n only with diagnostics on: a draw's activations
+use its first batch rows, the layer's backward delta the next batch rows,
+and the epoch's full-data loss pass its first n rows, since the pass
+never runs during a step.  So the draw loop and the epoch make no batch-
+or (n, width)-sized temporary and the optimizer no parameter-sized one,
+and every expression keeps the order, hence the bits, of its allocating
+form.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .network import (
-    NetworkTopology, ShapeMismatch, _backward_work, _check_inputs,
-    _check_params, _forward, _nll_and_grad, backward, forward,
+    NetworkTopology, ShapeMismatch, _check_inputs, _check_params, _forward,
+    _nll_and_grad, backward, forward,
 )
 from .svi import (
     NoiseDraw, SpikeSlabPrior, VariationalParams, _noise, _pruned,
@@ -190,17 +193,24 @@ class _Step:
     """The minibatch step of ``vp``'s pathwise objective, with the gradient
     ``grad`` = [grad_m | grad_rho] and every array a draw writes, allocated
     once for batches of up to ``rows`` rows: the noise ``eps``, the sampled
-    weights ``w``, a parameter-sized ``scratch``, one (rows, width)
-    activation buffer per affine layer (``acts``) and ``backward``'s
-    ``work`` (the draw's gradient plus one delta and one gate buffer per
-    hidden layer).  ``pruned`` holds the indices of the pruned entries,
-    found once, or None for an unpruned model."""
+    weights ``w``, a parameter-sized ``scratch``, the draw's gradient
+    ``work[0]`` and the ``arena``, one buffer per affine layer with
+    max(2 * rows, ``loss_rows``) rows.  A layer's activations use its
+    arena's first rows and, for a hidden layer, its backward delta the
+    rows from ``rows`` on.  ``backward`` takes the hidden activations as
+    its gate buffers too (``work`` = (draw gradient, deltas, activations)):
+    it overwrites a layer's activation with its gate only after that
+    layer's weight gradient has read it, and nothing reads it afterwards.
+    A caller that runs a full-data pass between steps, as ``train``'s
+    epoch loss does, passes its row count as ``loss_rows`` and writes into
+    the arena's first rows.  ``pruned`` holds the indices of the pruned
+    entries, found once, or None for an unpruned model."""
 
     __slots__ = ("topology", "vp", "prior", "noise_variance", "grad", "eps",
-                 "w", "scratch", "acts", "work", "pruned")
+                 "w", "scratch", "arena", "work", "pruned")
 
     def __init__(self, topology, vp: VariationalParams, prior,
-                 noise_variance, rows: int):
+                 noise_variance, rows: int, loss_rows: int = 0):
         size = len(vp)
         self.topology, self.vp, self.prior = topology, vp, prior
         self.noise_variance = noise_variance
@@ -208,9 +218,11 @@ class _Step:
         self.eps = np.empty(size)
         self.w = np.empty(size)
         self.scratch = np.empty(size)
-        self.acts = [np.empty((rows, width))
-                     for width in topology.layer_sizes[1:]]
-        self.work = _backward_work(topology, rows)
+        self.arena = [np.empty((max(2 * rows, loss_rows), width))
+                      for width in topology.layer_sizes[1:]]
+        self.work = (np.empty(size),
+                     [buf[rows:2 * rows] for buf in self.arena[:-1]],
+                     self.arena[:-1])
         self.pruned = None if vp.active is None else _pruned(vp)
 
     def __call__(self, sigma, kl, x, y, noises, with_penalty) -> float:
@@ -221,11 +233,11 @@ class _Step:
         ``sigma`` is softplus(vp.rho) and ``kl`` the batch's penalty share.
         The draw-free terms come first: dsigma/drho, kl * dR/dm and
         kl * dR/drho = kl * dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per
-        draw: W sampled into ``w``, the forward loop into ``acts`` (the
+        draw: W sampled into ``w``, the forward loop into ``arena`` (the
         caller has checked the shapes, so without :func:`forward`'s checks
         or copy), the NLL and its output gradient from one residual,
-        ``backward`` into ``work`` (it takes each gate from the in-place
-        activations), and the draw's gradient added to ``grad``: the
+        ``backward`` into ``work`` (it overwrites each hidden activation
+        with its gate), and the draw's gradient added to ``grad``: the
         likelihood gradient enters grad_m directly and grad_rho via
         eps * dsigma/drho.  If ``with_penalty``, each draw also makes one
         :func:`penalty_total` call; without it the objective is the mean
@@ -235,7 +247,12 @@ class _Step:
         vp, prior, grad = self.vp, self.prior, self.grad
         d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
         sp = dsigma_drho(vp.rho)
-        pen_m, pen_rho = kl * d_m, kl * d_s2 * 2.0 * sigma * sp
+        # kl * d_m and (((kl * d_s2) * 2.0) * sigma) * sp, in their buffers
+        pen_m = np.multiply(kl, d_m, out=d_m)
+        pen_rho = np.multiply(kl, d_s2, out=d_s2)
+        pen_rho *= 2.0
+        pen_rho *= sigma
+        pen_rho *= sp
         size = len(vp)
         grad_m, grad_rho = grad[:size], grad[size:]
         grad.fill(0.0)
@@ -243,7 +260,7 @@ class _Step:
         for draws, e in enumerate(noises, 1):
             w = sample_weights(vp, e, sigma=sigma, out=self.w,
                                pruned=self.pruned)
-            outputs, trace = _forward(self.topology, w, x, out=self.acts)
+            outputs, trace = _forward(self.topology, w, x, out=self.arena)
             data_nll, g_out = _nll_and_grad(outputs, y, self.noise_variance)
             g_w = backward(trace, w, g_out, work=self.work)
             grad_m += np.add(g_w, pen_m, out=self.scratch)
@@ -265,7 +282,9 @@ class _Step:
 class _Workspace:
     """Every array one ``train`` run writes, allocated once (the module
     docstring lists them).  Building it makes ``vp.m`` and ``vp.rho`` views
-    of ``theta`` = [m | rho]; ``step`` is the run's :class:`_Step`.
+    of ``theta`` = [m | rho]; ``step`` is the run's :class:`_Step`, whose
+    arena has the dataset's n rows or more with diagnostics on, so the
+    epoch loss pass writes into it and has no buffers of its own.
     ``batches`` holds, per minibatch, its (start, stop) in the epoch's
     permutation and its x and y buffers: views, sliced once per run, of one
     batch buffer with the largest batch's rows (np.array_split gives at
@@ -278,17 +297,13 @@ class _Workspace:
         vp.m, vp.rho = self.theta[:size], self.theta[size:]
         optimizer = _Adam if config.optimizer == "adam" else _Sgd
         self.opt = optimizer(config.learning_rate, 2 * size)
-        self.loss_out = None
-        if diagnostics:
-            # one buffer per layer for the epoch's full-data loss pass
-            self.loss_out = [np.empty((dataset.n, width))
-                             for width in topology.layer_sizes[1:]]
         n_batches = -(-dataset.n // config.batch_size)
         # the cut points of np.array_split(perm, n_batches)
         small, extra = divmod(dataset.n, n_batches)
         bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
         rows = small + (extra > 0)
-        self.step = _Step(topology, vp, prior, config.noise_variance, rows)
+        self.step = _Step(topology, vp, prior, config.noise_variance, rows,
+                          dataset.n if diagnostics else 0)
         x_buf = np.empty((rows, dataset.n_features))
         y_buf = np.empty((rows,) + dataset.y.shape[1:])
         views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
@@ -303,8 +318,8 @@ def _mean_weights(vp: VariationalParams) -> np.ndarray:
 
 def _train_loss(topology, vp, x, y, out):
     """Full-data mean squared error at the posterior mean.  ``out`` holds
-    one (n, width) buffer per affine layer; the pass writes into them and
-    allocates no (n, width) array."""
+    one buffer per affine layer with at least n rows; the pass writes into
+    their first n rows and allocates no (n, width) array."""
     outputs, _ = _forward(topology, _mean_weights(vp), x, out=out)
     t = np.asarray(y, dtype=float)
     if t.ndim == 1 and outputs.shape[1] == 1:
@@ -409,7 +424,7 @@ def train(
         objective[epoch] = epoch_obj
         if diagnostics:
             train_loss[epoch] = _train_loss(topology, vp, x_all, y_all,
-                                            ws.loss_out)
+                                            batch_step.arena)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
         objective=objective if diagnostics else None,

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -97,6 +98,17 @@ def straight_line_forward(topology, w, x):
                 a = z
         outs.append(a)
     return np.asarray(outs)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn``: the most
+    memory its allocations held at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reframe(raw: bytes, edit) -> bytes:

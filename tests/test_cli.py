@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,20 @@ BAD_INPUTS = [
         "train", "--data", BAD_DATA, "--seed", "-1", "--out", str(tmp / "x")],
         "seed must be >= 0, got -1", id="cli-seed-minus-1"),
     pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--split-seed", "-1",
+        "--out", str(tmp / "x")],
+        "split seed must be >= 0, got -1", id="train-split-seed-minus-1"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", str(_write_benchmark_fixtures(tmp)),
+        "--repeats", "1", "--epochs", "1", "--seed", "-1",
+        "--out", str(tmp / "b.csv")],
+        "seed must be >= 0, got -1", id="benchmark-seed-minus-1"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", str(_write_benchmark_fixtures(tmp)),
+        "--repeats", "1", "--epochs", "1", "--split-seed", "-1",
+        "--out", str(tmp / "b.csv")],
+        "split seed must be >= 0, got -1", id="benchmark-split-seed-minus-1"),
+    pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--lr", "nan", "--out", str(tmp / "x")],
         "learning_rate must be finite and positive, got nan", id="cli-lr-nan"),
     pytest.param(lambda run, tmp: [
@@ -684,6 +699,25 @@ def test_bad_file_path_or_option_exits_2(bad_input_run, tmp_path, capsys,
     assert code == 2
     assert err.startswith("config error:")
     assert named in err
+
+
+@pytest.mark.parametrize("option, named", [
+    ("--log-tau1", "tau1 must be finite, got inf"),
+    ("--log-tau0", "tau0=inf"),
+], ids=["log-tau1", "log-tau0"])
+def test_overflowing_log_scale_gives_only_the_config_error(tmp_path, capsys,
+                                                           option, named):
+    # exp(1000) overflows; the prior's check names the infinite scale, with
+    # no numpy warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", BAD_DATA, option, "1000",
+                     "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and named in err
 
 
 def test_head_option_is_gone(tmp_path):

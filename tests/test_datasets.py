@@ -17,6 +17,7 @@ from sparsebnn import (
     split,
     standardize_fit_apply,
 )
+from sparsebnn.datasets import kfold_indices
 
 
 class TestTwoFeatureGenerator:
@@ -225,6 +226,13 @@ class TestSplit:
         ds = Dataset(np.zeros((5, 1)), np.zeros(5), ["a"])
         with pytest.raises(ValueError, match="train_fraction"):
             split(ds, 1.0)
+
+    def test_negative_seed_named(self):
+        ds = Dataset(np.zeros((5, 1)), np.zeros(5), ["a"])
+        with pytest.raises(ValueError, match="split seed must be >= 0, got -1"):
+            split(ds, 0.8, seed=-1)
+        with pytest.raises(ValueError, match="fold seed must be >= 0, got -2"):
+            list(kfold_indices(5, 2, seed=-2))
 
 
 class TestCsvLoader:

@@ -258,3 +258,8 @@ def test_backward_into_work_buffers_is_bit_equal(activation, masked):
     assert in_place.pre == [] and out_in_place.tobytes() == out.tobytes()
     grad = backward(in_place, w, g_out, work=_backward_work(topo, rows))
     assert grad.tobytes() == want
+    # training's aliasing: each hidden activation is its own gate buffer,
+    # overwritten only after its layer's weight gradient has read it
+    grad, deltas, _ = _backward_work(topo, rows)
+    assert backward(in_place, w, g_out,
+                    work=(grad, deltas, acts[:-1])).tobytes() == want

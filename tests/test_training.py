@@ -1,7 +1,6 @@
 """Optimization loop, prediction modes, and checkpoint round trips."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from sparsebnn import (
     step_gradients,
     train,
 )
+from helpers import traced_peak
 
 
 class TestMinibatchWeights:
@@ -412,13 +412,31 @@ def test_more_draws_per_step_take_no_more_memory(diagnostics):
         config = TrainConfig(epochs=2, batch_size=200, mc_samples=draws,
                              seed=5)
         train(topo, prior, ds, config, diagnostics=diagnostics)
-        tracemalloc.start()
-        try:
-            train(topo, prior, ds, config, diagnostics=diagnostics)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(
+            lambda: train(topo, prior, ds, config, diagnostics=diagnostics)))
     assert peaks[1] - peaks[0] < 8 * topo.n_params, peaks
+
+
+@pytest.mark.parametrize("diagnostics", [True, False],
+                         ids=["diagnostics", "bare"])
+def test_row_buffers_share_one_buffer_per_layer(diagnostics):
+    # a shape whose row buffers dwarf the parameter vectors: one run holds
+    # one buffer per layer of max(2 * batch, n) rows (n only with
+    # diagnostics on), shared by the activations, the deltas, the gates
+    # and the epoch loss pass, plus a small fixed slack
+    rng = np.random.default_rng(12)
+    n, batch = 4000, 2000
+    ds = Dataset(rng.standard_normal((n, 2)), rng.standard_normal(n),
+                 ["a", "b"])
+    topo = NetworkTopology((2, 256, 1), hidden_activation="tanh")
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    config = TrainConfig(epochs=2, batch_size=batch, seed=4)
+    rows = max(2 * batch, n if diagnostics else 0)
+    bound = rows * sum(topo.layer_sizes[1:]) * 8 + 512 * 1024
+    train(topo, prior, ds, config, diagnostics=diagnostics)
+    peak = traced_peak(
+        lambda: train(topo, prior, ds, config, diagnostics=diagnostics))
+    assert peak < bound, (peak, bound)
 
 
 # divergent runs; in all but the last the gradient and the penalty value
