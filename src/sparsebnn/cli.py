@@ -569,7 +569,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # MemoryError: an option sized an array that cannot be allocated
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,7 +239,7 @@ def load_csv(
 
     ``target`` selects the response column by header name or integer index;
     every other column becomes a feature.  Malformed rows are reported with
-    their line numbers; non-numeric cells are rejected.
+    their line numbers; non-numeric and non-finite cells are rejected.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -271,16 +272,18 @@ def load_csv(
                     f"{path}:{lineno}: expected {len(header)} cells, "
                     f"got {len(row)}"
                 )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(
-                    cell for cell in row
-                    if not _is_number(cell)
-                )
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric cell {bad!r}"
-                ) from None
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(
+                        f"{path}:{lineno}: non-finite cell {cell!r}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
@@ -298,14 +301,6 @@ def load_csv(
                 f"got {ds.n}x{ds.n_features}"
             )
     return ds
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def load_manifest(path):

@@ -121,11 +121,12 @@ def _check_inputs(topology, x) -> np.ndarray:
     return x
 
 
-def _activate(name, z, out=None):
+def _activate(name, z):
+    """Apply the hidden activation to ``z`` in place and return it."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z, out=out)
+        return np.tanh(z, out=z)
     return z
 
 
@@ -155,11 +156,9 @@ def _backward_work(topology, rows):
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations, and from :func:`forward` pre-activations too,
-    cached for one batch."""
+    """Per-layer activations cached for one batch."""
 
     topology: NetworkTopology
-    pre: list = field(default_factory=list)       # z_1 .. z_{L+1}, or empty
     hidden: list = field(default_factory=list)    # a_0=x, a_1 .. a_L
     params: np.ndarray = None                     # the flat vector used
     outputs: np.ndarray = None                    # z_{L+1}
@@ -169,7 +168,8 @@ def forward(topology: NetworkTopology, w, x):
     """Evaluate the network on a batch.
 
     Checks the shapes of ``w`` and ``x``, then runs :func:`_forward` on a
-    copy of ``w``, so :func:`backward` can tell when ``w`` changed since.
+    copy of ``w``, so :func:`backward` can tell when ``w`` changed since,
+    and on one new (n, width) buffer per affine layer.
 
     Parameters
     ----------
@@ -179,37 +179,34 @@ def forward(topology: NetworkTopology, w, x):
     Returns
     -------
     (outputs, trace) : final-layer affine values of shape (n, n_outputs)
-        and a :class:`ForwardTrace` sufficient for :func:`backward`.
+        and a :class:`ForwardTrace` sufficient for :func:`backward`: the
+        input and each hidden layer's activation.
     """
     w = _check_params(topology, w)
-    return _forward(topology, w.copy(), _check_inputs(topology, x))
+    x = _check_inputs(topology, x)
+    out = [np.empty((x.shape[0], width)) for width in topology.layer_sizes[1:]]
+    return _forward(topology, w.copy(), x, out)
 
 
-def _forward(topology, w, x, out=None):
+def _forward(topology, w, x, out):
     """The one forward loop, on inputs the caller has checked; returns
     (outputs, trace), and the trace holds ``w`` itself.
 
-    Without ``out`` every layer's z and activation are new arrays, and the
-    trace keeps both.  ``out`` is one buffer per affine layer with at least
-    x's rows: each layer is written into its buffer's first rows and
-    activated in place, so the trace's ``hidden`` holds the in-place
-    activations and its ``pre`` stays empty (:func:`backward` takes each
-    gate from the activation alone).  Both ways compute the same bits.
+    ``out`` is one buffer per affine layer with at least x's rows: each
+    layer's z = a @ W + b is written into its buffer's first rows and
+    activated in place, so the trace's ``hidden`` holds the activations
+    alone (:func:`backward` takes each gate from the activation).
     """
     trace = ForwardTrace(topology, params=w)
     rows = x.shape[0]
     a = x
     last = topology.n_affine_layers - 1
     for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology)):
-        z = np.matmul(a, w[w_sl].reshape(shape),
-                      out=None if out is None else out[l][:rows])
+        z = np.matmul(a, w[w_sl].reshape(shape), out=out[l][:rows])
         z += w[b_sl]
         trace.hidden.append(a)
-        if out is None:
-            trace.pre.append(z)
         if l < last:
-            a = _activate(topology.hidden_activation, z,
-                          out=None if out is None else z)
+            a = _activate(topology.hidden_activation, z)
     trace.outputs = z
     return z, trace
 
@@ -272,28 +269,22 @@ def _residual(outputs, targets, noise_variance):
     return outputs - t
 
 
-def _gaussian_nll(resid, noise_variance) -> float:
-    return float(
-        0.5 * (resid * resid).sum() / noise_variance
-        + 0.5 * resid.size * np.log(2.0 * np.pi * noise_variance)
-    )
-
-
 def nll(outputs, targets, noise_variance: float = 1.0) -> float:
     """Negative log-likelihood of a batch, summed over observations:
     Gaussian with fixed ``noise_variance``, constant term included."""
     outputs = np.asarray(outputs, dtype=float)
-    return _gaussian_nll(_residual(outputs, targets, noise_variance),
-                         noise_variance)
+    return _nll_and_grad(outputs, targets, noise_variance)[0]
 
 
 def nll_grad(outputs, targets, noise_variance: float = 1.0):
     """Gradient of :func:`nll` with respect to ``outputs``."""
     outputs = np.asarray(outputs, dtype=float)
-    return _residual(outputs, targets, noise_variance) / noise_variance
+    return _nll_and_grad(outputs, targets, noise_variance)[1]
 
 
 def _nll_and_grad(outputs, targets, noise_variance: float):
     """(:func:`nll`, :func:`nll_grad`) of one batch from one residual."""
     resid = _residual(outputs, targets, noise_variance)
-    return _gaussian_nll(resid, noise_variance), resid / noise_variance
+    value = (0.5 * (resid * resid).sum() / noise_variance
+             + 0.5 * resid.size * np.log(2.0 * np.pi * noise_variance))
+    return float(value), resid / noise_variance

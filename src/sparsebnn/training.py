@@ -22,18 +22,24 @@ diagnostics that no parameter depends on.  ``diagnostics=False`` skips
 the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
-Each ``train`` call allocates its workspace once: the ``[m | rho]``
-buffer, the optimizer's moment and scratch vectors; one batch buffer for
-x and one for y, which each step gathers its rows into; and the
-:class:`_Step`, with the gradient, the parameter-sized vectors a draw
-writes and one row buffer per affine layer.  That layer buffer has
-max(2 * batch, n) rows, n only with diagnostics on: a draw's activations
-use its first batch rows, the layer's backward delta the next batch rows,
-and the epoch's full-data loss pass its first n rows, since the pass
-never runs during a step.  So the draw loop and the epoch make no batch-
-or (n, width)-sized temporary and the optimizer no parameter-sized one,
-and every expression keeps the order, hence the bits, of its allocating
-form.
+Each ``train`` call allocates every array it writes once, before its
+first step: the ``[m | rho]`` buffer; the optimizer's moment and scratch
+vectors; one x and one y batch buffer with the largest batch's rows
+(np.array_split gives at most two batch sizes, so each batch's views are
+sliced once per run), which each step gathers its rows into; and its
+:class:`_Step`, with the gradient ``[grad_m | grad_rho]``, the noise,
+the sampled weights, a scratch vector, the draw's gradient, the pruned
+entries' indices (None for an unpruned model) and the arena: one row
+buffer per affine layer with max(2 * batch, n) rows, n only with
+diagnostics on.  A draw's activations use the arena's first batch rows
+and a hidden layer's backward delta the next batch rows.  ``backward``
+takes the hidden activations as its gate buffers too: it overwrites a
+layer's activation with its gate only after that layer's weight gradient
+has read it, and nothing reads it afterwards.  The epoch's full-data
+loss pass uses the first n rows, since it never runs during a step.  So
+the draw loop and the epoch make no batch- or (n, width)-sized temporary
+and the optimizer no parameter-sized one, and every expression keeps the
+order, hence the bits, of its allocating form in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -190,21 +196,11 @@ def init_params(
 
 
 class _Step:
-    """The minibatch step of ``vp``'s pathwise objective, with the gradient
-    ``grad`` = [grad_m | grad_rho] and every array a draw writes, allocated
-    once for batches of up to ``rows`` rows: the noise ``eps``, the sampled
-    weights ``w``, a parameter-sized ``scratch``, the draw's gradient
-    ``work[0]`` and the ``arena``, one buffer per affine layer with
-    max(2 * rows, ``loss_rows``) rows.  A layer's activations use its
-    arena's first rows and, for a hidden layer, its backward delta the
-    rows from ``rows`` on.  ``backward`` takes the hidden activations as
-    its gate buffers too (``work`` = (draw gradient, deltas, activations)):
-    it overwrites a layer's activation with its gate only after that
-    layer's weight gradient has read it, and nothing reads it afterwards.
-    A caller that runs a full-data pass between steps, as ``train``'s
-    epoch loss does, passes its row count as ``loss_rows`` and writes into
-    the arena's first rows.  ``pruned`` holds the indices of the pruned
-    entries, found once, or None for an unpruned model."""
+    """The minibatch step of ``vp``'s pathwise objective, with every array
+    a draw writes allocated once for batches of up to ``rows`` rows (the
+    module docstring lists them).  A caller that runs a full-data pass
+    between steps, as ``train``'s epoch loss does, passes its row count as
+    ``loss_rows`` and writes into the arena's first rows."""
 
     __slots__ = ("topology", "vp", "prior", "noise_variance", "grad", "eps",
                  "w", "scratch", "arena", "work", "pruned")
@@ -279,38 +275,6 @@ class _Step:
         return obj / draws
 
 
-class _Workspace:
-    """Every array one ``train`` run writes, allocated once (the module
-    docstring lists them).  Building it makes ``vp.m`` and ``vp.rho`` views
-    of ``theta`` = [m | rho]; ``step`` is the run's :class:`_Step`, whose
-    arena has the dataset's n rows or more with diagnostics on, so the
-    epoch loss pass writes into it and has no buffers of its own.
-    ``batches`` holds, per minibatch, its (start, stop) in the epoch's
-    permutation and its x and y buffers: views, sliced once per run, of one
-    batch buffer with the largest batch's rows (np.array_split gives at
-    most two batch sizes)."""
-
-    def __init__(self, topology, vp: VariationalParams, prior, config,
-                 dataset, diagnostics):
-        size = len(vp)
-        self.theta = np.concatenate([vp.m, vp.rho])
-        vp.m, vp.rho = self.theta[:size], self.theta[size:]
-        optimizer = _Adam if config.optimizer == "adam" else _Sgd
-        self.opt = optimizer(config.learning_rate, 2 * size)
-        n_batches = -(-dataset.n // config.batch_size)
-        # the cut points of np.array_split(perm, n_batches)
-        small, extra = divmod(dataset.n, n_batches)
-        bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
-        rows = small + (extra > 0)
-        self.step = _Step(topology, vp, prior, config.noise_variance, rows,
-                          dataset.n if diagnostics else 0)
-        x_buf = np.empty((rows, dataset.n_features))
-        y_buf = np.empty((rows,) + dataset.y.shape[1:])
-        views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
-        self.batches = [(lo, hi) + views[hi - lo]
-                        for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _mean_weights(vp: VariationalParams) -> np.ndarray:
     """The weights at the posterior mean, W = m; pruned entries are 0."""
     return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
@@ -374,10 +338,23 @@ def train(
         topology, prior, config, master
     )
     size = len(vp)
-    ws = _Workspace(topology, vp, prior, config, dataset, diagnostics)
-    theta, batch_step = ws.theta, ws.step
+    theta = np.concatenate([vp.m, vp.rho])
+    vp.m, vp.rho = theta[:size], theta[size:]
+    optimizer = _Adam if config.optimizer == "adam" else _Sgd
+    opt = optimizer(config.learning_rate, 2 * size)
+    n_batches = -(-dataset.n // config.batch_size)
+    # the cut points of np.array_split(perm, n_batches)
+    small, extra = divmod(dataset.n, n_batches)
+    bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
+    rows = small + (extra > 0)
+    batch_step = _Step(topology, vp, prior, config.noise_variance, rows,
+                       dataset.n if diagnostics else 0)
     grad, pruned = batch_step.grad, batch_step.pruned
-    kl_weights = minibatch_weights(len(ws.batches), config.kl_schedule)
+    x_buf = np.empty((rows, dataset.n_features))
+    y_buf = np.empty((rows,) + dataset.y.shape[1:])
+    views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
+    batches = [(lo, hi) + views[hi - lo] for lo, hi in zip(bounds, bounds[1:])]
+    kl_weights = minibatch_weights(n_batches, config.kl_schedule)
     objective = np.zeros(config.epochs)
     train_loss = np.zeros(config.epochs)
     wall_ms = np.zeros(config.epochs)
@@ -389,7 +366,7 @@ def train(
         t0 = time.perf_counter()
         perm = master.permutation(dataset.n)
         epoch_obj = 0.0
-        for b, (lo, hi, xb, yb) in enumerate(ws.batches):
+        for b, (lo, hi, xb, yb) in enumerate(batches):
             # mode="clip" gathers straight into the buffer, where "raise"
             # would fill a temporary first; a permutation's slice never clips
             idx = perm[lo:hi]
@@ -413,7 +390,7 @@ def train(
             if not grad_ok:
                 bad_m = not np.isfinite(grad[:size]).all()
                 raise NumericalAbort(step, "grad_m" if bad_m else "grad_rho")
-            np.subtract(theta, ws.opt.update(grad), out=theta)
+            np.subtract(theta, opt.update(grad), out=theta)
             sigma = sigma_of_rho(vp.rho)
             p = optimal_p(vp.m, sigma, prior)
             if pruned is not None:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from sparsebnn import NetworkTopology, SpikeSlabPrior, VariationalParams
+from reference import activate, layers
 
 
 def central_difference(f, x, h=1e-5):
@@ -98,6 +99,17 @@ def straight_line_forward(topology, w, x):
                 a = z
         outs.append(a)
     return np.asarray(outs)
+
+
+def pre_activations(topology, w, x):
+    """Every affine layer's z = a @ W + b, z_1 .. z_{L+1}, with a the
+    previous layer's activation, as new arrays: the values a network's
+    kinks are measured from."""
+    out, a = [], np.asarray(x, dtype=float)
+    for W, b in layers(topology, np.asarray(w, dtype=float)):
+        out.append(a @ W + b)
+        a = activate(topology.hidden_activation, out[-1])
+    return out
 
 
 def traced_peak(fn) -> int:

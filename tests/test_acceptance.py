@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import quad
 
 import sparsebnn as sb
+from helpers import pre_activations
 from sparsebnn import (
     NetworkTopology,
     NoiseDraw,
@@ -138,8 +139,8 @@ def test_criterion_03_gradient_suite():
             if act != "relu":
                 break
             w = sb.sample_weights(vp, eps)
-            _, trace = sb.forward(topo, w, x)
-            if min(np.abs(z).min() for z in trace.pre) > 1e-3:
+            if min(np.abs(z).min()
+                   for z in pre_activations(topo, w, x)) > 1e-3:
                 break
         y = rng.standard_normal(4)
         kl = float(rng.uniform(0.2, 1.0))

@@ -688,6 +688,19 @@ BAD_INPUTS = [
         "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
         "--grid", "0.5,nan"], "candidate proportions must lie in (0, 1]",
         id="select-grid-nan"),
+    # 2**59 float64 values are 4 EiB, more than any 64-bit address space,
+    # so the allocation fails at once on every host
+    pytest.param(lambda run, tmp: [
+        "train", "--data", "sparse:n=50,d=3", "--epochs", str(2**59),
+        "--out", str(tmp / "x")], "Unable to allocate", id="train-epochs-2e59"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--draws", str(2**59), "--out", str(tmp / "g.csv")],
+        "Unable to allocate", id="gradcheck-draws-2e59"),
+    pytest.param(lambda run, tmp: [
+        "train", "--out", str(tmp / "x"), "--data",
+        "csv:path=" + _write(tmp / "wild.csv", "a,y\n1,2\n3,1e999\n")
+        + ",target=y"], "wild.csv:3: non-finite cell '1e999'",
+        id="train-csv-non-finite-cell"),
 ]
 
 
@@ -697,7 +710,7 @@ def test_bad_file_path_or_option_exits_2(bad_input_run, tmp_path, capsys,
     code = main(argv(bad_input_run, tmp_path))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error:")
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert named in err
 
 

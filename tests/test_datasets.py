@@ -270,6 +270,14 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match=r"text.csv:3.*oops"):
             load_csv(path, "b")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_non_finite_cell_reports_line_number(self, tmp_path, cell):
+        path = tmp_path / "wild.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError,
+                           match=f"wild.csv:3: non-finite cell '{cell}'"):
+            load_csv(path, "b")
+
     def test_expected_shape_enforced(self, tmp_path):
         path = tmp_path / "shape.csv"
         path.write_text("a,b\n1,2\n3,4\n")

@@ -1,0 +1,30 @@
+"""The package's public names, listed exactly.
+
+Adding or removing a public name is a deliberate change: it edits this
+list, so it shows in the diff.
+"""
+
+import sparsebnn
+
+PUBLIC = [
+    "Dataset", "EstimatorReport", "ForwardTrace", "ImportanceReport",
+    "NetworkTopology", "NoiseDraw", "NumericalAbort", "PruneMask",
+    "SelectionOutcome", "ShapeMismatch", "SpikeSlabPrior", "StaleTrace",
+    "Standardizer", "SyntheticSpec", "TrainConfig", "TrainReport",
+    "VariationalParams", "backward", "bbb_grad_m", "bbb_grad_sigma2",
+    "checkpoint", "compression", "cv_threshold", "datasets",
+    "feature_importance_phi", "feature_importance_psi", "forward",
+    "gen_sparse_regression", "gen_two_feature", "grad_penalty", "gradcheck",
+    "importance_report", "init_params", "load_checkpoint", "load_csv",
+    "load_manifest", "minibatch_weights", "network", "nll", "nll_grad",
+    "nonlinear_link", "objective_estimate", "optimal_p", "penalty_R",
+    "penalty_total", "predict", "prune", "rank_score", "relevance_I",
+    "sample_weights", "save_checkpoint", "selection_accuracy",
+    "sigma_of_rho", "sparsity", "split", "standardize_fit_apply",
+    "step_gradients", "svi", "train", "training", "variable_selection",
+    "variance_comparison",
+]
+
+
+def test_public_names_are_exactly_the_pinned_list():
+    assert sorted(sparsebnn.__all__) == PUBLIC
