@@ -288,11 +288,10 @@ def cmd_train(args) -> int:
     config = _train_config_from(opts)
     train_ds, _, _ = _split(build_dataset(args.data), opts)
     topology = _topology_from(opts, train_ds.n_features)
-    # only once every option is accepted, so a rejected run leaves no dir
+    report = train(topology, prior, train_ds, config)
+    # only once training returns, so a rejected or diverged run leaves no dir
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = train(topology, prior, train_ds, config)
-
     save_checkpoint(out_dir / "model.ckpt", topology, prior, report.params)
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for epoch in range(config.epochs):

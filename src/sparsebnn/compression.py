@@ -71,7 +71,7 @@ def prune(vp: VariationalParams, rule: str, droprate: float):
     out = vp.copy()
     out.m = np.where(keep, out.m, 0.0)
     out.p = np.where(keep, out.p, 0.0)
-    out.active = keep & vp.active_mask()
+    out.active = keep if vp.active is None else keep & vp.active
     return mask, out
 
 

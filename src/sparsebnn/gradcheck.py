@@ -207,7 +207,8 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
     ValueError naming the setting's index.  So does a setting whose
     estimators overflow or compute an invalid value (the variance of a
     tiny sigma's 1 / sigma^2 terms can overflow, for one), or whose row
-    holds a value that is not finite.
+    holds a value that is not finite, and so does a ``draws`` too large
+    to allocate, naming ``draws``.
     """
     rows = []
     for k, (m, sigma, pi, tau1, tau0) in enumerate(settings):
@@ -229,6 +230,8 @@ def variance_comparison(settings, draws: int = 100_000, seed: int = 0):
                 row = _comparison_row(m, sigma, prior, draws, seed + 2 * k)
         except FloatingPointError as exc:
             raise ValueError(f"{where} the estimators fail: {exc}") from None
+        except MemoryError as exc:
+            raise ValueError(f"draws = {draws}: {exc}") from None
         bad = [key for key, value in row.items() if not np.isfinite(value)]
         if bad:
             raise ValueError(f"{where} {bad[0]} is not finite")

@@ -57,9 +57,8 @@ from .network import (
     _nll_and_grad, backward, forward,
 )
 from .svi import (
-    NoiseDraw, SpikeSlabPrior, VariationalParams, _noise, _pruned,
-    dsigma_drho, grad_penalty, optimal_p, penalty_total, sample_weights,
-    sigma_of_rho,
+    NoiseDraw, SpikeSlabPrior, VariationalParams, _noise, dsigma_drho,
+    grad_penalty, optimal_p, penalty_total, sample_weights, sigma_of_rho,
 )
 
 KL_SCHEDULES = ("uniform", "blundell")
@@ -219,7 +218,10 @@ class _Step:
         self.work = (np.empty(size),
                      [buf[rows:2 * rows] for buf in self.arena[:-1]],
                      self.arena[:-1])
-        self.pruned = None if vp.active is None else _pruned(vp)
+        # indices, not the boolean mask: numpy reads and writes a scattered
+        # subset by index several times faster than through a mask
+        self.pruned = (None if vp.active is None
+                       else np.flatnonzero(~vp.active))
 
     def __call__(self, sigma, kl, x, y, noises, with_penalty) -> float:
         """Fill ``grad`` with the gradient averaged over the draws
@@ -254,8 +256,7 @@ class _Step:
         grad.fill(0.0)
         obj = 0.0
         for draws, e in enumerate(noises, 1):
-            w = sample_weights(vp, e, sigma=sigma, out=self.w,
-                               pruned=self.pruned)
+            w = sample_weights(vp, e, sigma=sigma, out=self.w)
             outputs, trace = _forward(self.topology, w, x, out=self.arena)
             data_nll, g_out = _nll_and_grad(outputs, y, self.noise_variance)
             g_w = backward(trace, w, g_out, work=self.work)
@@ -355,9 +356,12 @@ def train(
     views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
     batches = [(lo, hi) + views[hi - lo] for lo, hi in zip(bounds, bounds[1:])]
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
-    objective = np.zeros(config.epochs)
-    train_loss = np.zeros(config.epochs)
-    wall_ms = np.zeros(config.epochs)
+    try:
+        objective = np.zeros(config.epochs)
+        train_loss = np.zeros(config.epochs)
+        wall_ms = np.zeros(config.epochs)
+    except MemoryError as exc:
+        raise ValueError(f"epochs = {config.epochs}: {exc}") from None
     sigma = sigma_of_rho(vp.rho)
 
     draw_index = 0
@@ -421,17 +425,6 @@ def _penalty_screened(vp: VariationalParams, sigma, prior) -> bool:
         return bool(s / (2.0 * prior.tau0**2) < _SCREEN_LIMIT)
 
 
-def _resolve_draws(n_params, mc_samples, noise, seed):
-    if noise is not None:
-        draws = [noise] if isinstance(noise, NoiseDraw) else list(noise)
-        if len(draws) != mc_samples:
-            raise ValueError(
-                f"expected {mc_samples} noise draws, got {len(draws)}"
-            )
-        return draws
-    return [NoiseDraw.draw(n_params, seed, l) for l in range(mc_samples)]
-
-
 def _checked_step(topology, vp: VariationalParams, x, kl_weight):
     """Check ``kl_weight``, the parameters and the non-empty input batch;
     return the checked x."""
@@ -450,24 +443,21 @@ def objective_estimate(
     prior: SpikeSlabPrior,
     x,
     y,
-    mc_samples: int = 1,
+    noise: Sequence[NoiseDraw],
     kl_weight: float = 1.0,
-    noise: Optional[Sequence[NoiseDraw]] = None,
-    seed: int = 0,
     noise_variance: float = 1.0,
 ) -> float:
-    """Monte Carlo estimate of the batch objective, the mean over
-    ``mc_samples`` pathwise draws of NLL + ``kl_weight * sum_i R_i``, where
+    """Monte Carlo estimate of the batch objective, the mean over the
+    pathwise draws ``noise`` of NLL + ``kl_weight * sum_i R_i``, where
     ``kl_weight`` in (0, 1] is the minibatch share of the penalty.  It is
     a :class:`_Step`'s value, so at the same parameters, rows and draws it
     is bit for bit the batch objective :func:`train` logs."""
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     x = _checked_step(topology, vp, x, kl_weight)
-    draws = _resolve_draws(len(vp), mc_samples, noise, seed)
+    draws = [_noise(vp, d) for d in noise]
+    if not draws:
+        raise ValueError("noise holds no draws; the objective needs >= 1")
     step = _Step(topology, vp, prior, noise_variance, x.shape[0])
-    return step(vp.sigma, kl_weight, x, y, [_noise(vp, d) for d in draws],
-                True)
+    return step(vp.sigma, kl_weight, x, y, draws, True)
 
 
 def step_gradients(
@@ -491,31 +481,7 @@ def step_gradients(
     return step.grad[:size], step.grad[size:]
 
 
-def predict(
-    topology: NetworkTopology,
-    vp: VariationalParams,
-    x,
-    mode: str = "mean",
-    samples: int = 1,
-    seed: int = 0,
-    noise=None,
-):
-    """Network outputs at the posterior mean or averaged over weight samples.
-
-    mode "mean" evaluates at W = m (pruned entries zero); mode "mc"
-    averages the forward outputs of ``samples`` pathwise draws, which
-    ``noise``, if given, must hold.
-    """
-    if mode == "mean":
-        out, _ = forward(topology, _mean_weights(vp), x)
-        return out
-    if mode == "mc":
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        draws = _resolve_draws(len(vp), samples, noise, seed)
-        acc = None
-        for draw in draws:
-            out, _ = forward(topology, sample_weights(vp, draw), x)
-            acc = out if acc is None else acc + out
-        return acc / len(draws)
-    raise ValueError(f"mode must be 'mean' or 'mc', got {mode!r}")
+def predict(topology: NetworkTopology, vp: VariationalParams, x):
+    """Network outputs at the posterior mean, W = m (pruned entries zero)."""
+    out, _ = forward(topology, _mean_weights(vp), x)
+    return out

@@ -82,6 +82,7 @@ class TestTrainCommand:
                          "--lr", "1e200", "--epochs", "3"])
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical abort:")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "x")])
@@ -692,10 +693,11 @@ BAD_INPUTS = [
     # so the allocation fails at once on every host
     pytest.param(lambda run, tmp: [
         "train", "--data", "sparse:n=50,d=3", "--epochs", str(2**59),
-        "--out", str(tmp / "x")], "Unable to allocate", id="train-epochs-2e59"),
+        "--out", str(tmp / "x")], f"epochs = {2**59}: ",
+        id="train-epochs-2e59"),
     pytest.param(lambda run, tmp: [
         "gradcheck", "--draws", str(2**59), "--out", str(tmp / "g.csv")],
-        "Unable to allocate", id="gradcheck-draws-2e59"),
+        f"draws = {2**59}: ", id="gradcheck-draws-2e59"),
     pytest.param(lambda run, tmp: [
         "train", "--out", str(tmp / "x"), "--data",
         "csv:path=" + _write(tmp / "wild.csv", "a,y\n1,2\n3,1e999\n")
@@ -712,6 +714,8 @@ def test_bad_file_path_or_option_exits_2(bad_input_run, tmp_path, capsys,
     assert code == 2
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert named in err
+    # a rejected train run leaves no --out directory behind
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("option, named", [

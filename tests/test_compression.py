@@ -113,7 +113,7 @@ class TestPrune:
         )
         mask, pruned = prune(vp, "second_moment", 0.4)
         x = rng.standard_normal((6, 3))
-        via_predict = predict(topo, pruned, x, mode="mean")
+        via_predict = predict(topo, pruned, x)
         w = np.where(mask.keep, vp.m, 0.0)
         direct, _ = forward(topo, w, x)
         np.testing.assert_array_equal(via_predict, direct)

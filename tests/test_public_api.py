@@ -1,8 +1,13 @@
-"""The package's public names, listed exactly.
+"""The package's public names, and the parameters of its step and
+prediction functions, listed exactly.
 
-Adding or removing a public name is a deliberate change: it edits this
-list, so it shows in the diff.
+Adding or removing a public name or one of those parameters is a
+deliberate change: it edits a list here, so it shows in the diff.
 """
+
+import inspect
+
+import pytest
 
 import sparsebnn
 
@@ -28,3 +33,16 @@ PUBLIC = [
 
 def test_public_names_are_exactly_the_pinned_list():
     assert sorted(sparsebnn.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name, params", [
+    ("predict", ["topology", "vp", "x"]),
+    ("objective_estimate", ["topology", "vp", "prior", "x", "y", "noise",
+                            "kl_weight", "noise_variance"]),
+    ("step_gradients", ["topology", "vp", "prior", "x", "y", "eps",
+                        "kl_weight", "noise_variance"]),
+    ("sample_weights", ["vp", "eps", "sigma", "out"]),
+])
+def test_step_and_prediction_parameters_are_pinned(name, params):
+    signature = inspect.signature(getattr(sparsebnn, name))
+    assert list(signature.parameters) == params

@@ -100,8 +100,7 @@ def test_one_batch_functions_equal_the_reference_step(
     vp = _state(topology, prior, rng, pruned)
     x, y = _batch(topology, rng, rows)
     noise = [NoiseDraw.draw(topology.n_params, seed, i) for i in range(draws)]
-    obj = objective_estimate(topology, vp, prior, x, y, mc_samples=draws,
-                             kl_weight=kl, noise=noise,
+    obj = objective_estimate(topology, vp, prior, x, y, noise, kl_weight=kl,
                              noise_variance=noise_variance)
     want, _, _ = batch_step(topology, vp, prior, x, y,
                             [d.eps for d in noise], kl, noise_variance, True)

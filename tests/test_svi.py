@@ -327,20 +327,25 @@ def _tiny_problem(seed=0, n=6):
 class TestObjectiveEstimate:
     def test_rejects_zero_kl_weight(self):
         topo, vp, prior, x, y = _tiny_problem()
+        noise = [NoiseDraw.draw(len(vp), 0)]
         with pytest.raises(ValueError, match="kl_weight"):
-            objective_estimate(topo, vp, prior, x, y, kl_weight=0.0)
+            objective_estimate(topo, vp, prior, x, y, noise, kl_weight=0.0)
+
+    def test_rejects_an_empty_draw_list(self):
+        topo, vp, prior, x, y = _tiny_problem()
+        with pytest.raises(ValueError, match="noise holds no draws"):
+            objective_estimate(topo, vp, prior, x, y, noise=[])
 
     def test_rejects_empty_batch(self):
         topo, vp, prior, x, y = _tiny_problem()
+        noise = [NoiseDraw.draw(len(vp), 0)]
         with pytest.raises(ValueError, match="empty"):
-            objective_estimate(topo, vp, prior, x[:0], y[:0])
+            objective_estimate(topo, vp, prior, x[:0], y[:0], noise)
 
     def test_full_batch_unit_weight_matches_manual_composition(self):
         topo, vp, prior, x, y = _tiny_problem()
         draws = [NoiseDraw.draw(len(vp), 5, l) for l in range(3)]
-        value = objective_estimate(
-            topo, vp, prior, x, y, mc_samples=3, noise=draws
-        )
+        value = objective_estimate(topo, vp, prior, x, y, noise=draws)
         manual = 0.0
         for d in draws:
             out, _ = forward(topo, sample_weights(vp, d), x)
@@ -353,8 +358,12 @@ class TestObjectiveEstimate:
 
     def test_same_seed_same_value(self):
         topo, vp, prior, x, y = _tiny_problem()
-        a = objective_estimate(topo, vp, prior, x, y, mc_samples=4, seed=9)
-        b = objective_estimate(topo, vp, prior, x, y, mc_samples=4, seed=9)
+        a = objective_estimate(
+            topo, vp, prior, x, y, [NoiseDraw.draw(len(vp), 9, l)
+                                    for l in range(4)])
+        b = objective_estimate(
+            topo, vp, prior, x, y, [NoiseDraw.draw(len(vp), 9, l)
+                                    for l in range(4)])
         assert a == b
 
     def test_converges_to_quadrature_on_one_random_parameter(self):
@@ -385,7 +394,8 @@ class TestObjectiveEstimate:
         errors = []
         for L in (200, 20_000):
             est = objective_estimate(
-                topo, vp, prior, x, y, mc_samples=L, seed=1
+                topo, vp, prior, x, y,
+                [NoiseDraw.draw(len(vp), 1, l) for l in range(L)],
             )
             errors.append(abs(est - target))
         assert errors[1] < errors[0]

@@ -1,4 +1,4 @@
-"""Optimization loop, prediction modes, and checkpoint round trips."""
+"""Optimization loop, prediction, and checkpoint round trips."""
 
 import math
 
@@ -210,28 +210,6 @@ class TestPredict:
         )
         return topo, vp, rng.standard_normal((5, 1))
 
-    def test_single_sample_with_zero_noise_equals_mean_mode(self):
-        topo, vp, x = self._state()
-        mc = predict(
-            topo, vp, x, mode="mc", samples=1,
-            noise=[np.zeros(len(vp))],
-        )
-        assert np.array_equal(mc, predict(topo, vp, x, mode="mean"))
-
-    def test_mc_average_converges_to_mean_mode_for_linear_net(self):
-        # coordinates are independent, so the expectation of a product of
-        # distinct weights factorizes and matches the mean-mode output
-        topo, vp, x = self._state()
-        mc = predict(topo, vp, x, mode="mc", samples=10_000, seed=11)
-        mean = predict(topo, vp, x, mode="mean")
-        assert np.abs(mc - mean).max() < 0.02  # ~4 standard errors
-
-    def test_noise_draw_count_must_match_samples(self):
-        topo, vp, x = self._state()
-        with pytest.raises(ValueError, match="expected 5 noise draws, got 1"):
-            predict(topo, vp, x, mode="mc", samples=5,
-                    noise=[NoiseDraw.draw(len(vp), 3)])
-
     def test_zero_parameters_give_zero_mean_prediction(self):
         topo, _, x = self._state()
         vp = VariationalParams(
@@ -239,13 +217,8 @@ class TestPredict:
             np.zeros(topo.n_params),
         )
         assert np.array_equal(
-            predict(topo, vp, x, mode="mean"), np.zeros((5, 1))
+            predict(topo, vp, x), np.zeros((5, 1))
         )
-
-    def test_unknown_mode_rejected(self):
-        topo, vp, x = self._state()
-        with pytest.raises(ValueError, match="mode"):
-            predict(topo, vp, x, mode="map")
 
 
 class TestCheckpoint:
@@ -525,7 +498,7 @@ def test_one_step_is_objective_estimate_and_step_gradients(draws, pruned):
         x, y = ds.X.take(rows, axis=0), ds.y.take(rows, axis=0)
         noise = [NoiseDraw.draw(size, seed, i) for i in range(draws)]
         assert report.objective[0] == objective_estimate(
-            topo, start, prior, x, y, mc_samples=draws, noise=noise), seed
+            topo, start, prior, x, y, noise), seed
         grad = np.zeros(2 * size)
         for eps in noise:
             g_m, g_rho = step_gradients(topo, start, prior, x, y, eps)
