@@ -43,7 +43,6 @@ from .network import (
     ForwardTrace,
     NetworkTopology,
     ShapeMismatch,
-    StaleTrace,
     backward,
     forward,
     nll,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import CANONICAL_ORDER, NetworkTopology
+from .network import CANONICAL_ORDER, NetworkTopology, _check_params
 from .svi import SpikeSlabPrior, VariationalParams
 
 MAGIC = b"SSBNNCK1"
@@ -99,12 +99,10 @@ def _read_framed(path):
 
 def save_checkpoint(path, topology: NetworkTopology, prior: SpikeSlabPrior,
                     vp: VariationalParams) -> None:
-    """Write the checkpoint file.  A p outside [0, 1] raises ValueError
-    before anything is written, so the writer makes no file its reader
-    rejects."""
-    if len(vp) != topology.n_params:
-        raise ValueError(f"variational state has {len(vp)} entries but the "
-                         f"topology expects {topology.n_params}")
+    """Write the checkpoint file.  A state that does not fit ``topology``
+    raises ShapeMismatch, and a p outside [0, 1] ValueError, before
+    anything is written, so the writer makes no file its reader rejects."""
+    _check_params(topology, vp.m)
     header = {
         "format_version": FORMAT_VERSION,
         "canonical_order": CANONICAL_ORDER,

@@ -125,7 +125,9 @@ def build_dataset(spec: str) -> Dataset:
         csv:path=FILE,target=COLUMN
 
     A key the kind does not take, or a value that does not convert to the
-    key's type, raises ConfigError naming the key.
+    key's type, raises ConfigError naming the key.  Any other error of a
+    generated dataset, one that cannot be allocated included, raises
+    ConfigError naming the kind and its size keys.
     """
     if ":" not in spec:
         raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
@@ -143,26 +145,31 @@ def build_dataset(spec: str) -> Dataset:
         except ValueError as exc:
             raise ConfigError(
                 f"{kind} data spec: {key} = {value!r}: {exc}") from None
-    if kind == "two_feature":
-        return gen_two_feature(kv.get("alpha", 0.5), kv.get("n", 2000),
-                               kv.get("seed", 0))
-    if kind == "sparse":
+    if kind == "csv":
+        if "path" not in kv or "target" not in kv:
+            raise ConfigError("csv spec needs path= and target=")
+        target = kv["target"]
+        if target.lstrip("-").isdigit():
+            target = int(target)
+        return load_csv(kv["path"], target)
+    n, d = kv.get("n", 2000), kv.get("d", 100)
+    sizes = f"n = {n}" if kind == "two_feature" else f"n = {n}, d = {d}"
+    try:
+        if kind == "two_feature":
+            return gen_two_feature(kv.get("alpha", 0.5), n, kv.get("seed", 0))
         return gen_sparse_regression(
             SyntheticSpec(
-                n=kv.get("n", 2000),
-                n_features=kv.get("d", 100),
+                n=n,
+                n_features=d,
                 alpha=kv.get("alpha", 2.0),
                 pi_active=kv.get("pi", 0.2),
                 link=kv.get("link", "linear"),
                 seed=kv.get("seed", 0),
             )
         )
-    if "path" not in kv or "target" not in kv:
-        raise ConfigError("csv spec needs path= and target=")
-    target = kv["target"]
-    if target.lstrip("-").isdigit():
-        target = int(target)
-    return load_csv(kv["path"], target)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError, not MemoryError, past its size limit
+        raise ConfigError(f"{kind} data spec: {sizes}: {exc}") from None
 
 
 def _read_config_file(path) -> dict:
@@ -425,9 +432,9 @@ def cmd_select(args) -> int:
                             scaler)
     report.update({
         "quantile": quantile,
-        "threshold_phi": outcome.threshold,
+        "threshold_phi": outcome.importance.threshold,
         "n_selected": int(outcome.selected.sum()),
-        "estimated_active_proportion": outcome.estimated_active_proportion,
+        "estimated_active_proportion": float(outcome.selected.mean()),
         "selected": [int(v) for v in outcome.selected],
         "refit_test_rmse": refit_rmse,
         "unrestricted_test_rmse": unrestricted_rmse,

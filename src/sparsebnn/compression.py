@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
+from .checkpoint import _check_bounds
 from .datasets import Dataset, kfold_indices
-from .network import NetworkTopology, layer_slices
+from .network import NetworkTopology, _check_params, layer_slices
 from .svi import SpikeSlabPrior, VariationalParams
 from .training import TrainConfig, TrainReport, predict, train
 
@@ -32,11 +33,9 @@ RANK_RULES = ("inclusion_p", "second_moment", "snr")
 
 @dataclass
 class PruneMask:
-    """Keep/drop indicator per parameter plus the rule that produced it."""
+    """Keep/drop indicator per parameter: True keeps it."""
 
     keep: np.ndarray
-    rule: str
-    droprate: float
 
 
 def rank_score(vp: VariationalParams, rule: str) -> np.ndarray:
@@ -66,7 +65,7 @@ def prune(vp: VariationalParams, rule: str, droprate: float):
     order = np.argsort(scores, kind="stable")
     keep = np.ones(M, dtype=bool)
     keep[order[:n_drop]] = False
-    mask = PruneMask(keep=keep, rule=rule, droprate=droprate)
+    mask = PruneMask(keep=keep)
 
     out = vp.copy()
     out.m = np.where(keep, out.m, 0.0)
@@ -86,18 +85,16 @@ def feature_importance_psi(topology: NetworkTopology,
 
     Builds the per-layer influence matrices from the weight inclusion
     probabilities (biases excluded) and chains them; only single-output
-    networks are supported.
+    networks are supported.  A p outside [0, 1], NaN included, raises
+    ValueError, by the checkpoint loader's check.
     """
     if topology.n_outputs != 1:
         raise ValueError(
             "feature importance is defined for single-output networks; "
             f"got {topology.n_outputs} outputs"
         )
-    if len(vp) != topology.n_params:
-        raise ValueError(
-            f"variational state of length {len(vp)} does not match the "
-            f"topology's {topology.n_params} parameters"
-        )
+    _check_params(topology, vp.m)
+    _check_bounds("variational state", "p", vp.p, (0, 1))
     chain = None
     for w_sl, shape, _ in layer_slices(topology):
         # influence matrix is (fan_out, fan_in): entry ij is the inclusion
@@ -138,8 +135,8 @@ def importance_report(topology, vp, keep_quantile: float) -> ImportanceReport:
 
     The threshold is the ``keep_quantile``-th quantile of phi computed with
     linear interpolation between order statistics; a vanishing quantile
-    keeps every feature, and a degenerate threshold that would keep
-    nothing falls back to the single best feature.
+    keeps every feature.  The interpolation never exceeds the larger order
+    statistic, so the feature with the largest phi is always selected.
     """
     if not 0.0 <= keep_quantile < 1.0:
         raise ValueError(
@@ -148,16 +145,8 @@ def importance_report(topology, vp, keep_quantile: float) -> ImportanceReport:
     psi = feature_importance_psi(topology, vp)
     phi = feature_importance_phi(psi)
     threshold = float(np.quantile(phi, keep_quantile))
-    selected = phi >= threshold
-    if not selected.any():
-        warnings.warn(
-            "threshold keeps no features; falling back to the single best",
-            stacklevel=2,
-        )
-        selected = np.zeros_like(selected)
-        selected[int(np.argmax(phi))] = True
     return ImportanceReport(psi=psi, phi=phi, threshold=threshold,
-                            selected=selected)
+                            selected=phi >= threshold)
 
 
 def selection_accuracy(z_true, z_hat) -> float:
@@ -173,11 +162,10 @@ def selection_accuracy(z_true, z_hat) -> float:
 
 @dataclass
 class SelectionOutcome:
-    """Result of select-then-refit: decisions, refit run, and diagnostics."""
+    """Result of select-then-refit: decisions, refit run, and diagnostics.
+    The phi threshold is ``importance.threshold``."""
 
     selected: np.ndarray
-    threshold: float
-    estimated_active_proportion: float
     refit: TrainReport
     importance: ImportanceReport
     accuracy: Optional[float] = None
@@ -207,8 +195,6 @@ def variable_selection(
         accuracy = selection_accuracy(dataset.z, report.selected)
     return SelectionOutcome(
         selected=report.selected,
-        threshold=report.threshold,
-        estimated_active_proportion=float(report.selected.mean()),
         refit=refit,
         importance=report,
         accuracy=accuracy,

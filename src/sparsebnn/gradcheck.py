@@ -31,12 +31,10 @@ _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 class EstimatorReport:
     """Summary of one Monte Carlo estimator against its reference value."""
 
-    name: str
     mean: float
     std_error: float
     draws: int
     reference: float
-    relative_bias: float
     extras: dict = field(default_factory=dict)
 
 
@@ -104,15 +102,12 @@ def reference_grad_sigma2(m, sigma, prior: SpikeSlabPrior) -> float:
     )
 
 
-def _report(name, values, reference, extras=None):
+def _report(values, reference, extras):
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size))
-    rel = (mean - reference) / reference if reference != 0 else np.nan
     return EstimatorReport(
-        name=name, mean=mean, std_error=se, draws=values.size,
-        reference=float(reference), relative_bias=float(rel),
-        extras=extras or {},
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(values.size)),
+        draws=values.size, reference=float(reference), extras=extras,
     )
 
 
@@ -135,9 +130,7 @@ def bbb_grad_m(m, sigma, prior: SpikeSlabPrior, draws: int,
         "mean_slab_responsibility": float(r1.mean()),
         "closed_form_p": float(optimal_p(m, sigma, prior)),
     }
-    return _report(
-        "grad_m_sampled", values, reference_grad_m(m, sigma, prior), extras
-    )
+    return _report(values, reference_grad_m(m, sigma, prior), extras)
 
 
 def bbb_grad_sigma2(m, sigma, prior: SpikeSlabPrior, draws: int,
@@ -160,10 +153,7 @@ def bbb_grad_sigma2(m, sigma, prior: SpikeSlabPrior, draws: int,
         "identity_tail_mean": float(tail.mean()),
         "identity_tail_se": float(tail.std(ddof=1) / np.sqrt(draws)),
     }
-    return _report(
-        "grad_sigma2_sampled", values,
-        reference_grad_sigma2(m, sigma, prior), extras,
-    )
+    return _report(values, reference_grad_sigma2(m, sigma, prior), extras)
 
 
 def _comparison_row(m, sigma, prior, draws, seed):

@@ -40,10 +40,6 @@ class ShapeMismatch(ValueError):
         )
 
 
-class StaleTrace(ValueError):
-    """A forward trace meets parameters it was not built from."""
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """Layer sizes and activation choices of a dense network.
@@ -168,8 +164,9 @@ def forward(topology: NetworkTopology, w, x):
     """Evaluate the network on a batch.
 
     Checks the shapes of ``w`` and ``x``, then runs :func:`_forward` on a
-    copy of ``w``, so :func:`backward` can tell when ``w`` changed since,
-    and on one new (n, width) buffer per affine layer.
+    copy of ``w``, so the trace keeps the weights :func:`backward` uses
+    when the caller changes ``w`` later, and on one new (n, width) buffer
+    per affine layer.
 
     Parameters
     ----------
@@ -211,13 +208,14 @@ def _forward(topology, w, x, out):
     return z, trace
 
 
-def backward(trace: ForwardTrace, w, loss_grad_at_outputs, *,
+def backward(trace: ForwardTrace, loss_grad_at_outputs, *,
              work=None) -> np.ndarray:
-    """Exact reverse-mode gradient of a scalar loss w.r.t. every parameter.
+    """Exact reverse-mode gradient of a scalar loss w.r.t. every parameter,
+    at the weights ``trace.params`` the forward pass ran on.
 
     ``loss_grad_at_outputs`` is d(loss)/d(outputs) for the batch the trace
     was built on; the return value is the flat gradient vector [n_params].
-    After its checks, each layer's weight and bias gradients are written
+    After its shape check, each layer's weight and bias gradients are written
     straight into that vector, each delta @ W.T into its layer's delta
     buffer, and the gate, computed from the layer's activation alone,
     multiplies it in place.  ``work`` is (gradient vector, delta buffers,
@@ -225,16 +223,7 @@ def backward(trace: ForwardTrace, w, loss_grad_at_outputs, *,
     batch's rows, as :func:`_backward_work` builds them; without it backward
     allocates its own.  Both ways compute the same bits.
     """
-    topology = trace.topology
-    w = _check_params(topology, w)
-    # NaN != NaN, so a NaN weight retries with equal_nan instead of raising
-    # StaleTrace; the caller's finiteness check then reports it.
-    if not (trace.params is w or np.array_equal(trace.params, w)
-            or np.array_equal(trace.params, w, equal_nan=True)):
-        raise StaleTrace(
-            "trace was built from a different parameter vector; "
-            "rerun forward before backward"
-        )
+    topology, w = trace.topology, trace.params
     g_out = np.asarray(loss_grad_at_outputs, dtype=float)
     if g_out.shape != trace.outputs.shape:
         raise ShapeMismatch("output gradient", trace.outputs.shape, g_out.shape)

@@ -221,7 +221,5 @@ def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior, *,
     if vp.active is None:
         return float(penalty_R(vp.m, sigma, vp.p, prior).sum())
     act = np.flatnonzero(vp.active)
-    if not act.size:
-        return 0.0
     return float(penalty_R(vp.m.take(act), sigma.take(act), vp.p.take(act),
                            prior).sum())

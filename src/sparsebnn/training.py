@@ -53,7 +53,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .network import (
-    NetworkTopology, ShapeMismatch, _check_inputs, _check_params, _forward,
+    NetworkTopology, _check_inputs, _check_params, _forward,
     _nll_and_grad, backward, forward,
 )
 from .svi import (
@@ -125,7 +125,6 @@ class TrainReport:
     train_loss: Optional[np.ndarray]
     wall_ms: np.ndarray
     params: VariationalParams
-    draw_count: int = 0
 
 
 def minibatch_weights(n_batches: int, schedule: str) -> np.ndarray:
@@ -259,7 +258,7 @@ class _Step:
             w = sample_weights(vp, e, sigma=sigma, out=self.w)
             outputs, trace = _forward(self.topology, w, x, out=self.arena)
             data_nll, g_out = _nll_and_grad(outputs, y, self.noise_variance)
-            g_w = backward(trace, w, g_out, work=self.work)
+            g_w = backward(trace, g_out, work=self.work)
             grad_m += np.add(g_w, pen_m, out=self.scratch)
             g_w *= e                 # g_w * e * sp + pen_rho, in g_w's buffer
             g_w *= sp
@@ -307,7 +306,9 @@ def train(
     Per epoch the rows are reshuffled and partitioned into ceil(n / batch)
     minibatches; each step draws fresh noise, updates (m, rho), then resets
     p to its closed-form optimum.  A non-finite objective or gradient
-    raises :class:`NumericalAbort` naming the offending quantity.
+    raises :class:`NumericalAbort` naming the offending quantity.  A run
+    whose arrays cannot be allocated raises ValueError naming
+    ``layer_sizes`` or ``epochs``.
 
     With ``diagnostics=False`` the per-draw penalty value and the
     per-epoch full-data loss are not computed and the report's
@@ -329,30 +330,34 @@ def train(
             f"dataset has {dataset.n_features} features but the topology "
             f"expects {topology.n_inputs}"
         )
-    if init is not None and len(init) != topology.n_params:
-        raise ShapeMismatch("init parameters", (topology.n_params,),
-                            (len(init),))
+    if init is not None:
+        _check_params(topology, init.m)
     x_all = dataset.X
     y_all = dataset.y
     master = np.random.default_rng(config.seed)
-    vp = init.copy() if init is not None else init_params(
-        topology, prior, config, master
-    )
-    size = len(vp)
-    theta = np.concatenate([vp.m, vp.rho])
-    vp.m, vp.rho = theta[:size], theta[size:]
-    optimizer = _Adam if config.optimizer == "adam" else _Sgd
-    opt = optimizer(config.learning_rate, 2 * size)
     n_batches = -(-dataset.n // config.batch_size)
     # the cut points of np.array_split(perm, n_batches)
     small, extra = divmod(dataset.n, n_batches)
     bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
     rows = small + (extra > 0)
-    batch_step = _Step(topology, vp, prior, config.noise_variance, rows,
-                       dataset.n if diagnostics else 0)
+    optimizer = _Adam if config.optimizer == "adam" else _Sgd
+    try:
+        vp = init.copy() if init is not None else init_params(
+            topology, prior, config, master
+        )
+        size = len(vp)
+        theta = np.concatenate([vp.m, vp.rho])
+        vp.m, vp.rho = theta[:size], theta[size:]
+        opt = optimizer(config.learning_rate, 2 * size)
+        batch_step = _Step(topology, vp, prior, config.noise_variance, rows,
+                           dataset.n if diagnostics else 0)
+        x_buf = np.empty((rows, dataset.n_features))
+        y_buf = np.empty((rows,) + dataset.y.shape[1:])
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError, not MemoryError, past its size limit
+        raise ValueError(
+            f"layer_sizes = {topology.layer_sizes}: {exc}") from None
     grad, pruned = batch_step.grad, batch_step.pruned
-    x_buf = np.empty((rows, dataset.n_features))
-    y_buf = np.empty((rows,) + dataset.y.shape[1:])
     views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
     batches = [(lo, hi) + views[hi - lo] for lo, hi in zip(bounds, bounds[1:])]
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
@@ -360,7 +365,7 @@ def train(
         objective = np.zeros(config.epochs)
         train_loss = np.zeros(config.epochs)
         wall_ms = np.zeros(config.epochs)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ValueError(f"epochs = {config.epochs}: {exc}") from None
     sigma = sigma_of_rho(vp.rho)
 
@@ -410,7 +415,7 @@ def train(
     return TrainReport(
         objective=objective if diagnostics else None,
         train_loss=train_loss if diagnostics else None, wall_ms=wall_ms,
-        params=vp, draw_count=draw_index,
+        params=vp,
     )
 
 

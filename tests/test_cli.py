@@ -695,9 +695,29 @@ BAD_INPUTS = [
         "train", "--data", "sparse:n=50,d=3", "--epochs", str(2**59),
         "--out", str(tmp / "x")], f"epochs = {2**59}: ",
         id="train-epochs-2e59"),
+    # past numpy's size limit numpy raises ValueError, not MemoryError
+    pytest.param(lambda run, tmp: [
+        "train", "--data", "sparse:n=50,d=3", "--epochs", str(2**62),
+        "--out", str(tmp / "x")], f"epochs = {2**62}: ",
+        id="train-epochs-2e62"),
     pytest.param(lambda run, tmp: [
         "gradcheck", "--draws", str(2**59), "--out", str(tmp / "g.csv")],
         f"draws = {2**59}: ", id="gradcheck-draws-2e59"),
+    # 2**59 rows of float64 pass numpy's size limit, 2**48 parameters a
+    # 48-bit address space, so these fail at once too
+    pytest.param(lambda run, tmp: [
+        "train", "--data", f"sparse:n={2**59},d=3", "--epochs", "1",
+        "--out", str(tmp / "x")], f"sparse data spec: n = {2**59}, d = 3: ",
+        id="train-data-sparse-n-2e59"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", f"two_feature:n={2**59}", "--epochs", "1",
+        "--out", str(tmp / "x")], f"two_feature data spec: n = {2**59}: ",
+        id="train-data-two-feature-n-2e59"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--hidden", "16777216,16777216",
+        "--epochs", "1", "--out", str(tmp / "x")],
+        "layer_sizes = (5, 16777216, 16777216, 1): ",
+        id="train-hidden-2e24-squared"),
     pytest.param(lambda run, tmp: [
         "train", "--out", str(tmp / "x"), "--data",
         "csv:path=" + _write(tmp / "wild.csv", "a,y\n1,2\n3,1e999\n")

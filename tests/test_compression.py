@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import moderate_prior
 from sparsebnn import (
     Dataset,
     NetworkTopology,
+    ShapeMismatch,
     SpikeSlabPrior,
     SyntheticSpec,
     TrainConfig,
@@ -199,6 +202,15 @@ class TestFeatureImportance:
         with pytest.raises(ValueError, match="single-output"):
             feature_importance_psi(topo, vp)
 
+    def test_state_of_another_topology_rejected(self):
+        topo = NetworkTopology((3, 2, 1))
+        n = topo.n_params + 1
+        vp = _state(np.zeros(n), np.zeros(n), np.full(n, 0.5))
+        with pytest.raises(ShapeMismatch) as err:
+            feature_importance_psi(topo, vp)
+        assert (err.value.expected, err.value.actual) == ((topo.n_params,),
+                                                          (n,))
+
     def test_phi_endpoints(self):
         np.testing.assert_allclose(
             feature_importance_phi([0.2, 0.6]), [0.0, 1.0]
@@ -266,6 +278,15 @@ class TestVariableSelection:
         assert report.selected.all()
         assert report.threshold == 0.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5], ids=["nan", "1.5"])
+    def test_p_outside_unit_interval_rejected(self, bad):
+        topo = NetworkTopology((3, 2, 1))
+        p = np.full(topo.n_params, 0.5)
+        p[0] = bad
+        vp = _state(np.zeros(topo.n_params), np.zeros(topo.n_params), p)
+        with pytest.raises(ValueError, match=r"p entries .* \[0, 1\]"):
+            importance_report(topo, vp, keep_quantile=0.5)
+
     def test_select_then_refit_returns_accuracy_and_report(self):
         spec = SyntheticSpec(n=400, n_features=12, alpha=2.0, pi_active=0.3,
                              link="linear", seed=8)
@@ -281,12 +302,28 @@ class TestVariableSelection:
         assert outcome.accuracy is not None
         assert 0.0 <= outcome.accuracy <= 1.0
         assert outcome.selected.sum() >= 1
-        assert outcome.estimated_active_proportion == pytest.approx(
-            outcome.selected.mean()
-        )
         # only the refit's parameters are read: it skips the diagnostics
         assert (outcome.refit.objective, outcome.refit.train_loss) == (
             None, None)
+
+
+# constant phi (every p equal, say) warns; that case is covered above
+@pytest.mark.filterwarnings("ignore:constant feature importances")
+@settings(max_examples=200, deadline=None)
+@given(inputs=st.integers(2, 5),
+       hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       keep_quantile=st.floats(0.0, 1.0, exclude_max=True), data=st.data())
+def test_importance_report_selects_the_largest_phi(inputs, hidden,
+                                                   keep_quantile, data):
+    # the linear quantile never exceeds the larger order statistic it
+    # interpolates, so the threshold is at most max(phi)
+    topo = NetworkTopology((inputs, *hidden, 1))
+    p = np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                    min_size=topo.n_params,
+                                    max_size=topo.n_params)))
+    vp = _state(np.zeros(topo.n_params), np.zeros(topo.n_params), p)
+    report = importance_report(topo, vp, keep_quantile)
+    assert report.selected[report.phi == report.phi.max()].all()
 
 
 class TestCvThreshold:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import reframe
 from sparsebnn import (
     NetworkTopology,
+    ShapeMismatch,
     SpikeSlabPrior,
     VariationalParams,
     load_checkpoint,
@@ -153,6 +154,15 @@ def test_save_rejects_p_outside_unit_interval(folder, bad, index, masked):
     path.unlink(missing_ok=True)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         save_checkpoint(path, TOPOLOGY, PRIOR, vp)
+    assert not path.exists()
+
+
+def test_save_rejects_a_state_of_another_topology(folder):
+    vp = VariationalParams(np.zeros(5), np.zeros(5), np.full(5, 0.5))
+    path = folder / "mismatched.ckpt"
+    with pytest.raises(ShapeMismatch) as err:
+        save_checkpoint(path, TOPOLOGY, PRIOR, vp)
+    assert (err.value.expected, err.value.actual) == ((4,), (5,))
     assert not path.exists()
 
 

@@ -144,14 +144,22 @@ class TestTrain:
         with pytest.raises(ValueError, match="features"):
             train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds, TrainConfig(epochs=1))
 
-    def test_epoch_count_and_step_count_recorded(self):
+    def test_epoch_count_and_step_count_recorded(self, monkeypatch):
         ds = _linear_dataset(n=100)
         topo = NetworkTopology((1, 2, 1))
-        config = TrainConfig(epochs=7, batch_size=30, seed=0)
+        config = TrainConfig(epochs=7, batch_size=30, mc_samples=2, seed=0)
+        draw, indices = NoiseDraw.draw, []
+
+        def spy(size, seed, index=0, **kwargs):
+            indices.append(index)
+            return draw(size, seed, index, **kwargs)
+
+        monkeypatch.setattr(NoiseDraw, "draw", spy)
         report = train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds, config)
         assert report.objective.shape == (7,)
-        # ceil(100/30) = 4 batches per epoch, one draw per step
-        assert report.draw_count == 7 * 4
+        # ceil(100/30) = 4 batches per epoch, two draws per step, each
+        # with the next index
+        assert indices == list(range(7 * 4 * 2))
 
     def test_smoothed_objective_descends(self):
         ds = gen_two_feature(0.5, 2000, seed=1)
