@@ -39,6 +39,12 @@ _HEADER_KEYS = {"format_version": int, "canonical_order": str, "n_params": int,
                 "layer_sizes": list, "hidden_activation": str,
                 "output_head": str, "prior": dict, "has_mask": bool}
 
+# (name, dtype, bounds) of each array after the header, in file order;
+# bounds is an inclusive (lo, hi) range every entry must lie in, or None.
+# A file holds the first 3 + has_mask: the keep mask only if it has one.
+_ARRAYS = (("m", "<f8", None), ("rho", "<f8", None), ("p", "<f8", (0, 1)),
+           ("active", "u1", (0, 1)))
+
 
 def _check_bounds(path, name, values, bounds) -> None:
     # NaN fails both comparisons, so it is rejected too
@@ -47,16 +53,37 @@ def _check_bounds(path, name, values, bounds) -> None:
                          f"[{bounds[0]}, {bounds[1]}]")
 
 
-def _layout(header):
-    """(name, dtype, bounds) of each array after the header; bounds is an
-    inclusive (lo, hi) range every entry must lie in, or None."""
-    flags = [("active", "u1", (0, 1))] if header["has_mask"] else []
-    return [("m", "<f8", None), ("rho", "<f8", None),
-            ("p", "<f8", (0, 1))] + flags
+def save_checkpoint(path, topology: NetworkTopology, prior: SpikeSlabPrior,
+                    vp: VariationalParams) -> None:
+    """Write the checkpoint file.  A state that does not fit ``topology``
+    raises ShapeMismatch, and a p outside [0, 1] ValueError, before
+    anything is written, so the writer makes no file its reader rejects."""
+    _check_params(topology, vp.m)
+    header = {
+        "format_version": FORMAT_VERSION,
+        "canonical_order": CANONICAL_ORDER,
+        "n_params": len(vp),
+        "layer_sizes": list(topology.layer_sizes),
+        "hidden_activation": topology.hidden_activation,
+        "output_head": "identity",
+        "prior": {"pi": prior.pi, "tau1": prior.tau1, "tau0": prior.tau0},
+        "has_mask": vp.active is not None,
+    }
+    specs = list(zip(_ARRAYS[:3 + header["has_mask"]],
+                     (vp.m, vp.rho, vp.p, vp.active)))
+    for (name, _, bounds), values in specs:
+        _check_bounds(path, name, values, bounds)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for (_, dtype, _), values in specs:
+            fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 
-def _read_framed(path):
-    """Validate the frame and header of a checkpoint; (header, arrays)."""
+def load_checkpoint(path):
+    """Returns (topology, prior, params) from a checkpoint file."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise ValueError(f"{path}: {len(raw)} bytes, expected at least 12")
@@ -83,7 +110,8 @@ def _read_framed(path):
         if header[key] != expected:
             raise ValueError(f"{path}: {key} {header[key]!r}, "
                              f"expected {expected!r}")
-    M, specs, off = header["n_params"], _layout(header), 12 + hlen
+    M, off = header["n_params"], 12 + hlen
+    specs = _ARRAYS[:3 + header["has_mask"]]
     size = off + M * sum(np.dtype(dtype).itemsize for _, dtype, _ in specs)
     if len(raw) != size:
         raise ValueError(f"{path}: {len(raw)} bytes, expected {size} for "
@@ -94,41 +122,6 @@ def _read_framed(path):
         off += values.nbytes
         _check_bounds(path, name, values, bounds)
         arrays.append(values)
-    return header, arrays
-
-
-def save_checkpoint(path, topology: NetworkTopology, prior: SpikeSlabPrior,
-                    vp: VariationalParams) -> None:
-    """Write the checkpoint file.  A state that does not fit ``topology``
-    raises ShapeMismatch, and a p outside [0, 1] ValueError, before
-    anything is written, so the writer makes no file its reader rejects."""
-    _check_params(topology, vp.m)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "canonical_order": CANONICAL_ORDER,
-        "n_params": len(vp),
-        "layer_sizes": list(topology.layer_sizes),
-        "hidden_activation": topology.hidden_activation,
-        "output_head": "identity",
-        "prior": {"pi": prior.pi, "tau1": prior.tau1, "tau0": prior.tau0},
-        "has_mask": vp.active is not None,
-    }
-    # without a mask the layout lists three arrays, so active is not written
-    specs = list(zip(_layout(header), (vp.m, vp.rho, vp.p, vp.active)))
-    for (name, _, bounds), values in specs:
-        _check_bounds(path, name, values, bounds)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for (_, dtype, _), values in specs:
-            fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
-
-
-def load_checkpoint(path):
-    """Returns (topology, prior, params) from a checkpoint file."""
-    header, arrays = _read_framed(path)
     if header["output_head"] != "identity":
         raise ValueError(f"{path}: output_head {header['output_head']!r}, "
                          "expected 'identity'")
@@ -138,8 +131,8 @@ def load_checkpoint(path):
         prior = SpikeSlabPrior(**header["prior"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if header["n_params"] != topology.n_params:
-        raise ValueError(f"{path}: n_params {header['n_params']}, expected "
+    if M != topology.n_params:
+        raise ValueError(f"{path}: n_params {M}, expected "
                          f"{topology.n_params} for {topology.layer_sizes}")
     m, rho, p, *active = arrays
     return topology, prior, VariationalParams(

@@ -70,20 +70,21 @@ RULE_ALIASES = {"p": "inclusion_p", "m2": "second_moment",
 DEFAULT_RULE = "p"
 DEFAULT_DROPRATES = "0,10,20,25,50,75,80,90,95"
 
+# each training option and the TrainConfig field it sets, whose default
+# is the option's
+_TRAIN_FIELDS = {"epochs": "epochs", "batch": "batch_size",
+                 "lr": "learning_rate", "optimizer": "optimizer",
+                 "mc_samples": "mc_samples", "kl_schedule": "kl_schedule",
+                 "seed": "seed", "noise_variance": "noise_variance"}
+
 DEFAULTS = {
     "hidden": "20,10",
     "activation": "relu",
-    "epochs": 100,
-    "batch": 128,
-    "lr": 0.01,
-    "optimizer": "adam",
-    "mc_samples": 1,
-    "kl_schedule": "uniform",
-    "seed": 0,
+    **{key: getattr(TrainConfig(), field)
+       for key, field in _TRAIN_FIELDS.items()},
     "prior_pi": 0.5,
     "log_tau1": 0.0,
     "log_tau0": -2.302585092994046,  # tau0 = 0.1
-    "noise_variance": 1.0,
     "train_frac": 0.9,
     "split_seed": None,  # falls back to seed
     "standardize": True,
@@ -107,69 +108,64 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-# the keys each data kind takes, with their types
+# the keys each data kind takes, with their defaults; a value converts to
+# the type of its key's default, and a default of None marks a required str
 _DATA_KEYS = {
-    "two_feature": {"alpha": float, "n": int, "seed": int},
-    "sparse": {"n": int, "d": int, "alpha": float, "pi": float, "link": str,
-               "seed": int},
-    "csv": {"path": str, "target": str},
+    "two_feature": {"alpha": 0.5, "n": 2000, "seed": 0},
+    "sparse": {"n": 2000, "d": 100, "alpha": 2.0, "pi": 0.2,
+               "link": "linear", "seed": 0},
+    "csv": {"path": None, "target": None},
 }
 
 
 def build_dataset(spec: str) -> Dataset:
     """Materialize a dataset from a data spec string.
 
-    Forms:
+    Forms, with every generator key at its default:
         two_feature:alpha=0.5,n=2000,seed=0
-        sparse:n=2000,d=100,alpha=2,pi=0.2,link=nonlinear,seed=0
+        sparse:n=2000,d=100,alpha=2,pi=0.2,link=linear,seed=0
         csv:path=FILE,target=COLUMN
 
     A key the kind does not take, or a value that does not convert to the
-    key's type, raises ConfigError naming the key.  Any other error of a
-    generated dataset, one that cannot be allocated included, raises
-    ConfigError naming the kind and its size keys.
+    type of the key's default, raises ConfigError naming the key.  Any
+    other error of a generated dataset, one that cannot be allocated
+    included, raises ConfigError naming the kind and the keys the spec gave.
     """
     if ":" not in spec:
         raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
     kind, rest = spec.split(":", 1)
     if kind not in _DATA_KEYS:
         raise ConfigError(f"unknown data kind {kind!r}")
-    types = _DATA_KEYS[kind]
-    kv = {}
+    defaults = _DATA_KEYS[kind]
+    given = {}
     for key, value in _parse_kv(rest).items():
-        if key not in types:
+        if key not in defaults:
             raise ConfigError(f"{kind} data spec: unknown key {key!r}; it "
-                              f"takes {', '.join(types)}")
+                              f"takes {', '.join(defaults)}")
+        convert = str if defaults[key] is None else type(defaults[key])
         try:
-            kv[key] = types[key](value)
+            given[key] = convert(value)
         except ValueError as exc:
             raise ConfigError(
                 f"{kind} data spec: {key} = {value!r}: {exc}") from None
+    kv = {**defaults, **given}
     if kind == "csv":
-        if "path" not in kv or "target" not in kv:
+        if None in kv.values():
             raise ConfigError("csv spec needs path= and target=")
         target = kv["target"]
         if target.lstrip("-").isdigit():
             target = int(target)
         return load_csv(kv["path"], target)
-    n, d = kv.get("n", 2000), kv.get("d", 100)
-    sizes = f"n = {n}" if kind == "two_feature" else f"n = {n}, d = {d}"
     try:
         if kind == "two_feature":
-            return gen_two_feature(kv.get("alpha", 0.5), n, kv.get("seed", 0))
-        return gen_sparse_regression(
-            SyntheticSpec(
-                n=n,
-                n_features=d,
-                alpha=kv.get("alpha", 2.0),
-                pi_active=kv.get("pi", 0.2),
-                link=kv.get("link", "linear"),
-                seed=kv.get("seed", 0),
-            )
-        )
+            return gen_two_feature(kv["alpha"], kv["n"], kv["seed"])
+        return gen_sparse_regression(SyntheticSpec(
+            n=kv["n"], n_features=kv["d"], alpha=kv["alpha"],
+            pi_active=kv["pi"], link=kv["link"], seed=kv["seed"]))
     except (MemoryError, ValueError) as exc:
         # numpy raises ValueError, not MemoryError, past its size limit
-        raise ConfigError(f"{kind} data spec: {sizes}: {exc}") from None
+        keys = ", ".join(f"{key} = {value!r}" for key, value in given.items())
+        raise ConfigError(f"{kind} data spec: {keys}: {exc}") from None
 
 
 def _read_config_file(path) -> dict:
@@ -247,16 +243,8 @@ def _topology_from(opts, n_features) -> NetworkTopology:
 
 
 def _train_config_from(opts) -> TrainConfig:
-    return TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch"],
-        learning_rate=opts["lr"],
-        optimizer=opts["optimizer"],
-        mc_samples=opts["mc_samples"],
-        kl_schedule=opts["kl_schedule"],
-        seed=opts["seed"],
-        noise_variance=opts["noise_variance"],
-    )
+    return TrainConfig(**{field: opts[key]
+                          for key, field in _TRAIN_FIELDS.items()})
 
 
 def _split(full, opts, repeat=0):
@@ -464,8 +452,7 @@ def cmd_benchmark(args) -> int:
     rows = []
     for entry in entries:
         full = load_csv(entry["path"], entry["target"],
-                        expected_shape=entry["expected_shape"],
-                        name=entry["name"])
+                        expected_shape=entry["expected_shape"])
         topology = _topology_from(opts, full.n_features)
         sweeps = []
         for r in range(repeats):

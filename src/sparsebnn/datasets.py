@@ -32,7 +32,6 @@ class Dataset:
     feature_names: list[str]
     z: Optional[np.ndarray] = None      # true feature-inclusion indicators
     beta: Optional[np.ndarray] = None   # true effect sizes
-    name: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -60,10 +59,8 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(
-            self.X[idx], self.y[idx], list(self.feature_names),
-            z=self.z, beta=self.beta, name=self.name,
-        )
+        return Dataset(self.X[idx], self.y[idx], list(self.feature_names),
+                       z=self.z, beta=self.beta)
 
     def with_feature_mask(self, keep) -> "Dataset":
         """Zero out dropped input columns (X @ diag(keep))."""
@@ -72,10 +69,8 @@ class Dataset:
             raise ValueError(
                 f"feature mask length {keep.shape} != {self.n_features}"
             )
-        return Dataset(
-            self.X * keep[None, :], self.y, list(self.feature_names),
-            z=self.z, beta=self.beta, name=self.name,
-        )
+        return Dataset(self.X * keep[None, :], self.y,
+                       list(self.feature_names), z=self.z, beta=self.beta)
 
 
 def gen_two_feature(alpha_mix: float, n: int, seed: int) -> Dataset:
@@ -84,7 +79,7 @@ def gen_two_feature(alpha_mix: float, n: int, seed: int) -> Dataset:
     X = rng.standard_normal((n, 2))
     eps = rng.standard_normal(n)
     y = (1.0 - alpha_mix) * X[:, 0] + alpha_mix * X[:, 1] + eps
-    return Dataset(X, y, ["x1", "x2"], name=f"two_feature(alpha={alpha_mix})")
+    return Dataset(X, y, ["x1", "x2"])
 
 
 def relevance_I(y, x2_contrib) -> float:
@@ -135,10 +130,7 @@ def gen_sparse_regression(spec: SyntheticSpec) -> Dataset:
     f = X if spec.link == "linear" else nonlinear_link(X)
     y = f @ (beta * z) + rng.standard_normal(spec.n)
     names = [f"x{j + 1}" for j in range(spec.n_features)]
-    return Dataset(
-        X, y, names, z=z, beta=beta,
-        name=f"sparse({spec.link},pi={spec.pi_active},alpha={spec.alpha})",
-    )
+    return Dataset(X, y, names, z=z, beta=beta)
 
 
 class Standardizer:
@@ -180,8 +172,7 @@ class Standardizer:
     def transform(self, ds: Dataset) -> Dataset:
         X = (ds.X - self.x_mean) / self.x_std
         y = (ds.y - self.y_mean) / self.y_std
-        return Dataset(X, y, list(ds.feature_names), z=ds.z, beta=ds.beta,
-                       name=ds.name)
+        return Dataset(X, y, list(ds.feature_names), z=ds.z, beta=ds.beta)
 
     def inverse_y(self, y_std):
         """Map standardized responses/predictions back to original units."""
@@ -233,7 +224,6 @@ def load_csv(
     path,
     target,
     expected_shape: Optional[tuple[int, int]] = None,
-    name: str = "",
 ) -> Dataset:
     """Load a numeric CSV (comma-separated, '.' decimal, first row header).
 
@@ -288,12 +278,8 @@ def load_csv(
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     feature_idx = [j for j in range(len(header)) if j != target_idx]
-    ds = Dataset(
-        data[:, feature_idx],
-        data[:, target_idx],
-        [header[j] for j in feature_idx],
-        name=name or path.stem,
-    )
+    ds = Dataset(data[:, feature_idx], data[:, target_idx],
+                 [header[j] for j in feature_idx])
     if expected_shape is not None:
         if (ds.n, ds.n_features) != tuple(expected_shape):
             raise ValueError(

@@ -32,7 +32,6 @@ class ShapeMismatch(ValueError):
     """An array does not have the shape an operation requires."""
 
     def __init__(self, what: str, expected, actual):
-        self.what = what
         self.expected = tuple(expected)
         self.actual = tuple(actual)
         super().__init__(

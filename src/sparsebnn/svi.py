@@ -101,26 +101,20 @@ class VariationalParams:
         )
 
 
-@dataclass(frozen=True)
 class NoiseDraw:
-    """A standard-normal vector reproducible from (seed, index)."""
-
-    eps: np.ndarray
-    seed: int
-    index: int
+    """Standard-normal vectors reproducible from (seed, index)."""
 
     @classmethod
     def draw(cls, size: int, seed: int, index: int = 0, *,
-             out=None) -> "NoiseDraw":
-        """The draw of (seed, index); ``out``, if given, receives its
-        ``size`` values, which are the same bits as a fresh array's."""
+             out=None) -> np.ndarray:
+        """The ``size`` standard-normal values of (seed, index), written
+        into and returned as ``out`` if given, with the same bits as a
+        fresh array's."""
         key = [int(seed), int(index)]
         if 0 <= key[0] < _WORD_LIMIT and 0 <= key[1] < _WORD_LIMIT:
             # the same SeedSequence words as the list, coerced faster
             key = np.array(key, dtype=np.uint32)
-        rng = np.random.default_rng(key)
-        return cls(eps=rng.standard_normal(size, out=out), seed=seed,
-                   index=index)
+        return np.random.default_rng(key).standard_normal(size, out=out)
 
 
 def _expit(x):
@@ -145,8 +139,8 @@ def dsigma_drho(rho):
 
 
 def _noise(vp: VariationalParams, eps) -> np.ndarray:
-    """The checked standard-normal vector of a NoiseDraw or an array."""
-    e = eps.eps if isinstance(eps, NoiseDraw) else np.asarray(eps, dtype=float)
+    """``eps`` as a float array, checked to have one entry per parameter."""
+    e = np.asarray(eps, dtype=float)
     if e.shape != vp.m.shape:
         raise ShapeMismatch("noise draw", vp.m.shape, e.shape)
     return e

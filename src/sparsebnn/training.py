@@ -382,8 +382,7 @@ def train(
             x_all.take(idx, axis=0, out=xb, mode="clip")
             y_all.take(idx, axis=0, out=yb, mode="clip")
             kl = kl_weights[b]
-            noises = (NoiseDraw.draw(size, config.seed, i,
-                                     out=batch_step.eps).eps
+            noises = (NoiseDraw.draw(size, config.seed, i, out=batch_step.eps)
                       for i in range(draw_index,
                                      draw_index + config.mc_samples))
             draw_index += config.mc_samples
@@ -448,7 +447,7 @@ def objective_estimate(
     prior: SpikeSlabPrior,
     x,
     y,
-    noise: Sequence[NoiseDraw],
+    noise: Sequence[np.ndarray],
     kl_weight: float = 1.0,
     noise_variance: float = 1.0,
 ) -> float:
@@ -471,7 +470,7 @@ def step_gradients(
     prior: SpikeSlabPrior,
     x,
     y,
-    eps: NoiseDraw,
+    eps: np.ndarray,
     kl_weight: float = 1.0,
     noise_variance: float = 1.0,
 ):

@@ -123,15 +123,17 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def reframe(raw: bytes, edit) -> bytes:
-    """Rewrite a checkpoint file after ``edit`` mutates its header.
+def reframe(raw: bytes, edit=None, *, header=None) -> bytes:
+    """Rewrite a checkpoint file after ``edit`` mutates its header, or
+    with ``header``, any JSON value, in place of its header.
 
     Parses the documented frame (8-byte magic, uint32 header length, JSON
     header) by hand, so a test can hand the loader a header the library's
     writer would never produce.
     """
     (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen])
-    edit(header)
+    if header is None:
+        header = json.loads(raw[12:12 + hlen])
+        edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]

@@ -125,7 +125,7 @@ def reference_train(topology, prior, dataset, config, init=None,
     for epoch in range(config.epochs):
         perm = master.permutation(n)
         for b, idx in enumerate(np.array_split(perm, n_batches)):
-            noises = [NoiseDraw.draw(size, config.seed, i).eps
+            noises = [NoiseDraw.draw(size, config.seed, i)
                       for i in range(draw_index, draw_index + config.mc_samples)]
             draw_index += config.mc_samples
             obj, g_m, g_rho = batch_step(

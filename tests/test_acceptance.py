@@ -408,7 +408,7 @@ def test_criterion_10_uci_spot_checks():
     ok = True
     for name, path in sorted(present.items()):
         bound, shape = UCI_BOUNDS[name]
-        ds = sb.load_csv(path, -1, expected_shape=shape, name=name)
+        ds = sb.load_csv(path, -1, expected_shape=shape)
         topo = NetworkTopology((ds.n_features, 50, 1))
         rmse0, rmse50 = [], []
         for seed in range(5):

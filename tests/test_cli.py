@@ -723,7 +723,56 @@ BAD_INPUTS = [
         "csv:path=" + _write(tmp / "wild.csv", "a,y\n1,2\n3,1e999\n")
         + ",target=y"], "wild.csv:3: non-finite cell '1e999'",
         id="train-csv-non-finite-cell"),
+    # a generator's range error names the keys the spec gave
+    pytest.param(lambda run, tmp: [
+        "train", "--data", "sparse:n=50,d=3,pi=1.5", "--out", str(tmp / "x")],
+        "sparse data spec: n = 50, d = 3, pi = 1.5: pi_active must lie in "
+        "[0, 1], got 1.5", id="train-data-sparse-pi-1.5"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--out", str(tmp / "x"),
+        "--config", _write(tmp / "run.conf", "# epochs\nepochs 5\n")],
+        "run.conf:2: expected key = value", id="config-line-without-equals"),
+    pytest.param(lambda run, tmp: [
+        "prune", "--checkpoint", str(run / "model.ckpt"),
+        "--droprates", "150"], "droprates must map into [0, 1): '150'",
+        id="prune-droprates-150"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", str(_write_benchmark_fixtures(tmp)),
+        "--repeats", "0", "--out", str(tmp / "b.csv")],
+        "--repeats must be >= 1", id="benchmark-repeats-0"),
+    pytest.param(lambda run, tmp: [
+        "train", "--out", str(tmp / "x"), "--data",
+        "csv:path=" + _write(tmp / "empty.csv", "") + ",target=y"],
+        "empty.csv: empty file", id="train-csv-empty-file"),
+    pytest.param(lambda run, tmp: [
+        "train", "--out", str(tmp / "x"), "--data",
+        "csv:path=" + _write(tmp / "head.csv", "a,y\n") + ",target=y"],
+        "head.csv: no data rows", id="train-csv-header-only"),
+    pytest.param(lambda run, tmp: [
+        "train", "--out", str(tmp / "x"), "--data",
+        "csv:path=" + _write(tmp / "two.csv", "a,y\n1,2\n3,4\n")
+        + ",target=2"],
+        "two.csv: target column index 2 out of range for 2 columns",
+        id="train-csv-target-2-of-2"),
+    *(pytest.param(lambda run, tmp, spec=spec: [
+        "train", "--data", spec, "--out", str(tmp / "x")], named, id=case)
+      for case, spec, named in (
+          ("data-without-kind", "sparse",
+           "data spec needs a kind prefix, got 'sparse'"),
+          ("data-unknown-kind", "gauss:n=50", "unknown data kind 'gauss'"),
+          ("data-csv-without-target", "csv:path=a.csv",
+           "csv spec needs path= and target="),
+          ("data-key-without-value", "sparse:n=50,d",
+           "expected key=value, got 'd'"))),
 ]
+
+
+def test_csv_spec_takes_a_negative_integer_target(tmp_path):
+    path = _write(tmp_path / "t.csv", "a,b,y\n1,2,3\n4,5,6\n")
+    ds = build_dataset(f"csv:path={path},target=-1")
+    assert ds.feature_names == ["a", "b"]
+    np.testing.assert_array_equal(ds.y, [3.0, 6.0])
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [4.0, 5.0]])
 
 
 @pytest.mark.parametrize("argv, named", BAD_INPUTS)

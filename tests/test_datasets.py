@@ -334,3 +334,8 @@ class TestDatasetInvariants:
         masked = ds.with_feature_mask([True, False, True])
         np.testing.assert_array_equal(masked.X[:, 1], 0.0)
         np.testing.assert_array_equal(masked.X[:, 0], 1.0)
+
+    def test_feature_mask_of_another_length_rejected(self):
+        ds = Dataset(np.ones((4, 3)), np.zeros(4), ["a", "b", "c"])
+        with pytest.raises(ValueError, match=r"feature mask length \(2,\) != 3"):
+            ds.with_feature_mask([True, False])

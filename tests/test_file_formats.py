@@ -186,3 +186,21 @@ def test_output_head_other_than_identity_rejected(folder, intact):
     # the library is regression-only; its writer always says "identity"
     edited = reframe(intact["plain.ckpt"], _replace("output_head", "softmax"))
     _assert_rejected(folder, "head.ckpt", edited)
+
+
+def test_header_that_is_not_an_object_rejected(folder, intact):
+    edited = reframe(intact["plain.ckpt"], header=[1, 2])
+    path = folder / "array.ckpt"
+    path.write_bytes(edited)
+    with pytest.raises(ValueError, match="header is not a JSON object"):
+        load_checkpoint(path)
+
+
+def test_n_params_that_disagrees_with_layer_sizes_rejected(folder, intact):
+    # n_params still matches the file's length; (1, 2, 1) has 7 parameters
+    edited = reframe(intact["plain.ckpt"], _replace("layer_sizes", [1, 2, 1]))
+    path = folder / "sizes.ckpt"
+    path.write_bytes(edited)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: n_params 4, expected 7 for (1, 2, 1)")):
+        load_checkpoint(path)

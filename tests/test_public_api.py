@@ -1,18 +1,24 @@
-"""The package's public names, the parameters of its step, prediction
-and backward functions, and the fields of its result types, listed
-exactly.
+"""The package's public names, the parameters of its step, prediction,
+backward and CSV-loading functions, the fields of its result types and
+``Dataset``, what a noise draw returns, where the command line's training
+defaults come from, and the private names its modules import from each
+other, listed exactly.
 
-Adding or removing a public name, one of those parameters or one of
-those fields is a deliberate change: it edits a list here, so it shows
-in the diff.
+Adding or removing a public name, one of those parameters or fields, or
+a private name imported across modules is a deliberate change: it edits
+a list here, so it shows in the diff.
 """
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsebnn
+from sparsebnn.cli import DEFAULTS, _TRAIN_FIELDS
 
 PUBLIC = [
     "Dataset", "EstimatorReport", "ForwardTrace", "ImportanceReport",
@@ -63,3 +69,58 @@ def test_step_and_prediction_parameters_are_pinned(name, params):
 def test_result_fields_are_pinned(name, fields):
     result_type = getattr(sparsebnn, name)
     assert [f.name for f in dataclasses.fields(result_type)] == fields
+
+
+def test_dataset_fields_and_load_csv_parameters_are_pinned():
+    assert [f.name for f in dataclasses.fields(sparsebnn.Dataset)] == [
+        "X", "y", "feature_names", "z", "beta"]
+    assert list(inspect.signature(sparsebnn.load_csv).parameters) == [
+        "path", "target", "expected_shape"]
+
+
+@pytest.mark.parametrize("size, seed, index", [
+    (1, 0, 0), (651, 3, 17), (8, 2**40 + 7, 0)])
+def test_noise_draw_is_the_default_rng_array_of_seed_and_index(size, seed,
+                                                               index):
+    want = np.random.default_rng([seed, index]).standard_normal(size)
+    got = sparsebnn.NoiseDraw.draw(size, seed, index)
+    assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    out = np.empty(size)
+    assert sparsebnn.NoiseDraw.draw(size, seed, index, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_cli_training_defaults_are_the_train_config_defaults():
+    config = sparsebnn.TrainConfig()
+    # every TrainConfig field is set from exactly one option
+    assert sorted(_TRAIN_FIELDS.values()) == sorted(
+        f.name for f in dataclasses.fields(config))
+    for key, field in _TRAIN_FIELDS.items():
+        value = getattr(config, field)
+        assert (type(DEFAULTS[key]), DEFAULTS[key]) == (type(value), value)
+
+
+# (importing module, defining module, name) of each private name that one
+# module of the package imports from another
+CROSS_MODULE_PRIVATE = {
+    ("checkpoint", "network", "_check_params"),
+    ("compression", "checkpoint", "_check_bounds"),
+    ("compression", "network", "_check_params"),
+    ("training", "network", "_check_inputs"),
+    ("training", "network", "_check_params"),
+    ("training", "network", "_forward"),
+    ("training", "network", "_nll_and_grad"),
+    ("training", "svi", "_noise"),
+}
+
+
+def test_private_names_imported_across_modules_are_pinned():
+    found = set()
+    for path in Path(sparsebnn.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update((path.stem, node.module, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found == CROSS_MODULE_PRIVATE

@@ -102,12 +102,11 @@ def test_one_batch_functions_equal_the_reference_step(
     noise = [NoiseDraw.draw(topology.n_params, seed, i) for i in range(draws)]
     obj = objective_estimate(topology, vp, prior, x, y, noise, kl_weight=kl,
                              noise_variance=noise_variance)
-    want, _, _ = batch_step(topology, vp, prior, x, y,
-                            [d.eps for d in noise], kl, noise_variance, True)
+    want, _, _ = batch_step(topology, vp, prior, x, y, noise, kl,
+                            noise_variance, True)
     assert obj == want
     g_m, g_rho = step_gradients(topology, vp, prior, x, y, noise[0],
                                 kl_weight=kl, noise_variance=noise_variance)
-    _, want_m, want_rho = batch_step(topology, vp, prior, x, y,
-                                     [noise[0].eps], kl, noise_variance,
-                                     False)
+    _, want_m, want_rho = batch_step(topology, vp, prior, x, y, [noise[0]],
+                                     kl, noise_variance, False)
     assert _same(g_m, want_m) and _same(g_rho, want_rho)

@@ -12,6 +12,7 @@ from helpers import assert_grad_close, moderate_prior
 from sparsebnn import (
     NetworkTopology,
     NoiseDraw,
+    ShapeMismatch,
     SpikeSlabPrior,
     VariationalParams,
     grad_penalty,
@@ -65,16 +66,16 @@ class TestNoiseDraw:
     def test_reproducible_from_seed_and_index(self):
         a = NoiseDraw.draw(16, seed=5, index=3)
         b = NoiseDraw.draw(16, seed=5, index=3)
-        assert np.array_equal(a.eps, b.eps)
+        assert np.array_equal(a, b)
         c = NoiseDraw.draw(16, seed=5, index=4)
-        assert not np.array_equal(a.eps, c.eps)
+        assert not np.array_equal(a, c)
 
     def test_stream_is_default_rng_of_seed_and_index(self):
         words = (0, 5, 8, 99999, 123456, 2**32 - 1)
         pairs = [(s, i) for s in words for i in words] + [(2**32, 3), (2**40 + 7, 0)]
         for seed, index in pairs:
             want = np.random.default_rng([seed, index]).standard_normal(8)
-            assert np.array_equal(NoiseDraw.draw(8, seed, index).eps, want)
+            assert np.array_equal(NoiseDraw.draw(8, seed, index), want)
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -423,7 +424,7 @@ class TestStepGradients:
         )
         x = np.array([[0.5], [-1.0]])
         y = np.zeros(2)  # outputs at W=0 are 0, so residuals vanish
-        eps = NoiseDraw(np.zeros(4), 0, 0)
+        eps = np.zeros(4)
         g_m, g_rho = step_gradients(topo, vp, prior, x, y, eps)
         np.testing.assert_allclose(g_m, 0.0, atol=1e-14)
         np.testing.assert_allclose(g_rho, 0.0, atol=1e-14)
@@ -474,6 +475,11 @@ class TestStepGradients:
         group_means = singles.reshape(10, 1000).mean(axis=1)
         ratio = var_single / group_means.var(ddof=1)
         assert 300.0 < ratio < 3000.0
+
+    def test_noise_of_another_length_rejected(self):
+        topo, vp, prior, x, y = _tiny_problem(seed=13)
+        with pytest.raises(ShapeMismatch, match="noise draw"):
+            step_gradients(topo, vp, prior, x, y, np.zeros(len(vp) - 1))
 
     def test_pruned_coordinates_get_zero_gradients(self):
         topo, vp, prior, x, y = _tiny_problem(seed=13)

@@ -355,6 +355,43 @@ def test_nan_weight_aborts_on_objective_with_diagnostics_off():
 
 @pytest.mark.parametrize("diagnostics", [True, False],
                          ids=["diagnostics", "bare"])
+def test_underflowing_sigma_aborts_on_grad_rho(diagnostics):
+    # softplus(-400) squared underflows to 0, so dR/dsigma^2 is infinite
+    # while R itself, through -log sigma = 400, stays finite
+    ds = _linear_dataset(n=64, seed=2)
+    topo = NetworkTopology((1, 2, 1))
+    n = topo.n_params
+    start = VariationalParams(np.zeros(n), np.full(n, -3.0),
+                              np.full(n, 0.5))
+    start.rho[0] = -400.0
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            train(topo, SpikeSlabPrior(0.5, 1.0, 0.1), ds,
+                  TrainConfig(epochs=2, batch_size=64, seed=3), init=start,
+                  diagnostics=diagnostics)
+    assert (err.value.step, err.value.quantity) == (0, "grad_rho")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False],
+                         ids=["diagnostics", "bare"])
+def test_overflowing_likelihood_gradient_aborts_on_grad_m(diagnostics):
+    # the hidden unit's 1e300 activation times an output weight of 1e-300
+    # (rho = -700 keeps its sample there) gives outputs near 1 and a finite
+    # objective, but the output weight's likelihood gradient, activation
+    # times residual (1e307) summed over 64 rows, overflows
+    ds = Dataset(np.full((64, 1), 1e150), np.full(64, -1e7), ["x"])
+    start = VariationalParams([1e150, 0.0, 1e-300, 0.0],
+                              [-30.0, -30.0, -700.0, -30.0], np.full(4, 0.5))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            train(NetworkTopology((1, 1, 1)), SpikeSlabPrior(0.5, 1.0, 0.1),
+                  ds, TrainConfig(epochs=2, batch_size=64, seed=3),
+                  init=start, diagnostics=diagnostics)
+    assert (err.value.step, err.value.quantity) == (0, "grad_m")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False],
+                         ids=["diagnostics", "bare"])
 def test_penalty_overflow_aborts_on_objective_without_diagnostics_too(
         diagnostics):
     # the weight from an all-zero input column leaves the data NLL and the
