@@ -126,10 +126,12 @@ def build_dataset(spec: str) -> Dataset:
         sparse:n=2000,d=100,alpha=2,pi=0.2,link=linear,seed=0
         csv:path=FILE,target=COLUMN
 
-    A key the kind does not take, or a value that does not convert to the
-    type of the key's default, raises ConfigError naming the key.  Any
-    other error of a generated dataset, one that cannot be allocated
-    included, raises ConfigError naming the kind and the keys the spec gave.
+    A key the kind does not take, a value that does not convert to the
+    type of the key's default, or an empty or missing csv path or target
+    raises ConfigError naming the key.  Any other error of a generated
+    dataset, one that cannot be allocated included, or one of fewer than
+    the 2 rows a train/test split needs, raises ConfigError naming the kind
+    and the keys the spec gave (for a csv, the file).
     """
     if ":" not in spec:
         raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
@@ -150,22 +152,37 @@ def build_dataset(spec: str) -> Dataset:
                 f"{kind} data spec: {key} = {value!r}: {exc}") from None
     kv = {**defaults, **given}
     if kind == "csv":
-        if None in kv.values():
-            raise ConfigError("csv spec needs path= and target=")
+        missing = [key for key, value in kv.items() if not value]
+        if missing:
+            raise ConfigError("csv spec needs path= and target=; empty or "
+                              f"missing: {', '.join(missing)}")
         target = kv["target"]
         if target.lstrip("-").isdigit():
             target = int(target)
-        return load_csv(kv["path"], target)
-    try:
-        if kind == "two_feature":
-            return gen_two_feature(kv["alpha"], kv["n"], kv["seed"])
-        return gen_sparse_regression(SyntheticSpec(
-            n=kv["n"], n_features=kv["d"], alpha=kv["alpha"],
-            pi_active=kv["pi"], link=kv["link"], seed=kv["seed"]))
-    except (MemoryError, ValueError) as exc:
-        # numpy raises ValueError, not MemoryError, past its size limit
-        keys = ", ".join(f"{key} = {value!r}" for key, value in given.items())
-        raise ConfigError(f"{kind} data spec: {keys}: {exc}") from None
+        data, source = load_csv(kv["path"], target), kv["path"]
+    else:
+        source = f"{kind} data spec: " + ", ".join(
+            f"{key} = {value!r}" for key, value in given.items())
+        try:
+            if kind == "two_feature":
+                data = gen_two_feature(kv["alpha"], kv["n"], kv["seed"])
+            else:
+                data = gen_sparse_regression(SyntheticSpec(
+                    n=kv["n"], n_features=kv["d"], alpha=kv["alpha"],
+                    pi_active=kv["pi"], link=kv["link"], seed=kv["seed"]))
+        except (MemoryError, ValueError) as exc:
+            # numpy raises ValueError, not MemoryError, past its size limit
+            raise ConfigError(f"{source}: {exc}") from None
+    return _splittable(data, source)
+
+
+def _splittable(data, source) -> Dataset:
+    """``data``, if it has the 2 rows a train/test split needs; else
+    ConfigError naming ``source``."""
+    if data.n < 2:
+        raise ConfigError(f"{source}: needs at least 2 rows for a "
+                          f"train/test split, got {data.n}")
+    return data
 
 
 def _read_config_file(path) -> dict:
@@ -225,11 +242,18 @@ def resolve_options(args) -> dict:
 
 
 def _prior_from(opts) -> SpikeSlabPrior:
+    """The prior of the options; an invalid one raises ConfigError naming
+    the three options before the prior's own text."""
     # an overflow gives an infinite scale, which SpikeSlabPrior names
     with np.errstate(over="ignore"):
         tau1, tau0 = np.exp(opts["log_tau1"]), np.exp(opts["log_tau0"])
-    return SpikeSlabPrior(pi=opts["prior_pi"], tau1=float(tau1),
-                          tau0=float(tau0))
+    try:
+        return SpikeSlabPrior(pi=opts["prior_pi"], tau1=float(tau1),
+                              tau0=float(tau0))
+    except ValueError as exc:
+        raise ConfigError(
+            f"prior_pi = {opts['prior_pi']}, log_tau0 = {opts['log_tau0']}, "
+            f"log_tau1 = {opts['log_tau1']}: {exc}") from None
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
@@ -451,8 +475,9 @@ def cmd_benchmark(args) -> int:
     prior = _prior_from(opts)
     rows = []
     for entry in entries:
-        full = load_csv(entry["path"], entry["target"],
-                        expected_shape=entry["expected_shape"])
+        full = _splittable(load_csv(entry["path"], entry["target"],
+                                    expected_shape=entry["expected_shape"]),
+                           entry["path"])
         topology = _topology_from(opts, full.n_features)
         sweeps = []
         for r in range(repeats):

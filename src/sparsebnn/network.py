@@ -18,7 +18,7 @@ other value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -140,23 +140,54 @@ def _gate(name, a, delta, gate):
     np.multiply(delta, gate, out=delta)
 
 
+def _layers(topology, w):
+    """(W, b, W.T) views of the flat vector ``w``, per affine layer."""
+    out = []
+    for w_sl, shape, b_sl in layer_slices(topology):
+        W = w[w_sl].reshape(shape)
+        out.append((W, w[b_sl], W.T))
+    return out
+
+
 def _backward_work(topology, rows):
-    """Fresh work for :func:`backward`: the flat gradient vector, then per
-    hidden layer one (rows, width) delta buffer and one gate buffer."""
+    """Fresh work for :func:`backward` on a batch of ``rows`` rows: the
+    flat gradient vector, its :func:`_layers` views, then per hidden layer
+    one (rows, width) delta buffer and one gate buffer."""
     widths = topology.layer_sizes[1:-1]
-    return (np.empty(topology.n_params),
+    grad = np.empty(topology.n_params)
+    return (grad, _layers(topology, grad),
             [np.empty((rows, width)) for width in widths],
             [np.empty((rows, width)) for width in widths])
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations cached for one batch."""
+    """One batch's pass: the weights, their per-layer views, and the rows
+    :func:`_forward` writes and :func:`backward` reads."""
 
     topology: NetworkTopology
-    hidden: list = field(default_factory=list)    # a_0=x, a_1 .. a_L
-    params: np.ndarray = None                     # the flat vector used
-    outputs: np.ndarray = None                    # z_{L+1}
+    params: np.ndarray    # the flat vector used
+    layers: list          # (W, b, W.T) views of params, per affine layer
+    acts: list            # x = a_0, a_1 .. a_L, then the outputs z_{L+1}
+
+    @property
+    def hidden(self) -> list:
+        """The input of each affine layer: a_0 = x, a_1 .. a_L."""
+        return self.acts[:-1]
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """The final affine layer's values z_{L+1}."""
+        return self.acts[-1]
+
+
+def _trace(topology, w, x, out, layers=None):
+    """A :class:`ForwardTrace` of ``w`` on ``x`` whose activations are the
+    first x.shape[0] rows of ``out``, one buffer per affine layer;
+    ``layers`` are w's :func:`_layers` views, if the caller has them."""
+    rows = x.shape[0]
+    return ForwardTrace(topology, w, layers or _layers(topology, w),
+                        [x] + [buf[:rows] for buf in out])
 
 
 def forward(topology: NetworkTopology, w, x):
@@ -181,30 +212,27 @@ def forward(topology: NetworkTopology, w, x):
     w = _check_params(topology, w)
     x = _check_inputs(topology, x)
     out = [np.empty((x.shape[0], width)) for width in topology.layer_sizes[1:]]
-    return _forward(topology, w.copy(), x, out)
+    trace = _trace(topology, w.copy(), x, out)
+    return _forward(trace), trace
 
 
-def _forward(topology, w, x, out):
-    """The one forward loop, on inputs the caller has checked; returns
-    (outputs, trace), and the trace holds ``w`` itself.
+def _forward(trace):
+    """The one forward loop, on a trace whose inputs the caller has
+    checked; returns the outputs.
 
-    ``out`` is one buffer per affine layer with at least x's rows: each
-    layer's z = a @ W + b is written into its buffer's first rows and
-    activated in place, so the trace's ``hidden`` holds the activations
-    alone (:func:`backward` takes each gate from the activation).
+    Each layer's z = a @ W + b is written into its row buffer in
+    ``trace.acts`` and a hidden layer's activated in place, so the trace
+    holds the activations alone (:func:`backward` takes each gate from the
+    activation).
     """
-    trace = ForwardTrace(topology, params=w)
-    rows = x.shape[0]
-    a = x
-    last = topology.n_affine_layers - 1
-    for l, (w_sl, shape, b_sl) in enumerate(layer_slices(topology)):
-        z = np.matmul(a, w[w_sl].reshape(shape), out=out[l][:rows])
-        z += w[b_sl]
-        trace.hidden.append(a)
+    acts, name = trace.acts, trace.topology.hidden_activation
+    last = len(trace.layers) - 1
+    for l, (W, b, _) in enumerate(trace.layers):
+        z = np.matmul(acts[l], W, out=acts[l + 1])
+        z += b
         if l < last:
-            a = _activate(topology.hidden_activation, z)
-    trace.outputs = z
-    return z, trace
+            _activate(name, z)
+    return z
 
 
 def backward(trace: ForwardTrace, loss_grad_at_outputs, *,
@@ -217,34 +245,35 @@ def backward(trace: ForwardTrace, loss_grad_at_outputs, *,
     After its shape check, each layer's weight and bias gradients are written
     straight into that vector, each delta @ W.T into its layer's delta
     buffer, and the gate, computed from the layer's activation alone,
-    multiplies it in place.  ``work`` is (gradient vector, delta buffers,
-    gate buffers), one of each buffer per hidden layer with at least the
-    batch's rows, as :func:`_backward_work` builds them; without it backward
-    allocates its own.  Both ways compute the same bits.
+    multiplies it in place.  ``work`` is (gradient vector, its per-layer
+    views, delta buffers, gate buffers), one of each buffer per hidden layer
+    with the batch's rows, as :func:`_backward_work` builds them; without it
+    backward allocates its own.  Both ways compute the same bits.
     """
-    topology, w = trace.topology, trace.params
     g_out = np.asarray(loss_grad_at_outputs, dtype=float)
-    if g_out.shape != trace.outputs.shape:
-        raise ShapeMismatch("output gradient", trace.outputs.shape, g_out.shape)
+    if g_out.shape != trace.acts[-1].shape:
+        raise ShapeMismatch("output gradient", trace.acts[-1].shape,
+                            g_out.shape)
 
-    rows = g_out.shape[0]
-    grad, deltas, gates = work or _backward_work(topology, rows)
-    slices = layer_slices(topology)
+    grad, grads, deltas, gates = work or _backward_work(trace.topology,
+                                                        g_out.shape[0])
+    acts, layers = trace.acts, trace.layers
+    name = trace.topology.hidden_activation
     delta = g_out
-    for l in range(topology.n_affine_layers, 0, -1):
-        w_sl, shape, b_sl = slices[l - 1]
-        a_prev = trace.hidden[l - 1]
-        np.matmul(a_prev.T, delta, out=grad[w_sl].reshape(shape))
-        delta.sum(axis=0, out=grad[b_sl])
-        if l > 1:
-            delta = np.matmul(delta, w[w_sl].reshape(shape).T,
-                              out=deltas[l - 2][:rows])
-            _gate(topology.hidden_activation, a_prev, delta,
-                  gates[l - 2][:rows])
+    for l in range(len(layers) - 1, -1, -1):
+        g_W, g_b, _ = grads[l]
+        a_prev = acts[l]
+        np.matmul(a_prev.T, delta, out=g_W)
+        delta.sum(axis=0, out=g_b)
+        if l:
+            delta = np.matmul(delta, layers[l][2], out=deltas[l - 1])
+            _gate(name, a_prev, delta, gates[l - 1])
     return grad
 
 
-def _residual(outputs, targets, noise_variance):
+def _targets(outputs, targets, noise_variance):
+    """``targets`` as a float array of ``outputs``' shape, a vector taken
+    as the column of a one-output batch, after checking the variance."""
     if noise_variance <= 0:
         raise ValueError(
             f"noise_variance must be positive, got {noise_variance}"
@@ -254,25 +283,40 @@ def _residual(outputs, targets, noise_variance):
         t = t[:, None]
     if t.shape != outputs.shape:
         raise ShapeMismatch("targets", outputs.shape, t.shape)
-    return outputs - t
+    return t
 
 
 def nll(outputs, targets, noise_variance: float = 1.0) -> float:
     """Negative log-likelihood of a batch, summed over observations:
     Gaussian with fixed ``noise_variance``, constant term included."""
-    outputs = np.asarray(outputs, dtype=float)
-    return _nll_and_grad(outputs, targets, noise_variance)[0]
+    return _checked_nll_and_grad(outputs, targets, noise_variance)[0]
 
 
 def nll_grad(outputs, targets, noise_variance: float = 1.0):
     """Gradient of :func:`nll` with respect to ``outputs``."""
-    outputs = np.asarray(outputs, dtype=float)
-    return _nll_and_grad(outputs, targets, noise_variance)[1]
+    return _checked_nll_and_grad(outputs, targets, noise_variance)[1]
 
 
-def _nll_and_grad(outputs, targets, noise_variance: float):
-    """(:func:`nll`, :func:`nll_grad`) of one batch from one residual."""
-    resid = _residual(outputs, targets, noise_variance)
-    value = (0.5 * (resid * resid).sum() / noise_variance
-             + 0.5 * resid.size * np.log(2.0 * np.pi * noise_variance))
-    return float(value), resid / noise_variance
+def _checked_nll_and_grad(outputs, targets, noise_variance):
+    """(:func:`nll`, :func:`nll_grad`), on a copy of ``outputs``."""
+    outputs = np.array(outputs, dtype=float)
+    t = _targets(outputs, targets, noise_variance)
+    return _nll_and_grad(outputs, t, noise_variance,
+                         _nll_constant(outputs.size, noise_variance))
+
+
+def _nll_constant(size, noise_variance):
+    """The NLL's constant term for a batch of ``size`` outputs."""
+    return 0.5 * size * np.log(2.0 * np.pi * noise_variance)
+
+
+def _nll_and_grad(outputs, t, noise_variance, constant, square=None):
+    """(:func:`nll`, :func:`nll_grad`) of one batch from one residual, on
+    targets ``t`` already of ``outputs``' shape and the batch's
+    :func:`_nll_constant`.  The residual overwrites ``outputs`` and then
+    becomes the gradient there; ``square``, an array of their shape if
+    given, receives the squared residual."""
+    resid = np.subtract(outputs, t, out=outputs)
+    value = (0.5 * np.multiply(resid, resid, out=square).sum()
+             / noise_variance + constant)
+    return float(value), np.divide(resid, noise_variance, out=resid)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,28 @@ class SpikeSlabPrior:
             )
         if not math.isfinite(self.tau1):
             raise ValueError(f"tau1 must be finite, got {self.tau1}")
+
+    # the closed forms' constants, each computed once per prior
+    @cached_property
+    def _tau_sq(self):
+        """(tau1^2, tau0^2), for :func:`grad_penalty`."""
+        return self.tau1**2, self.tau0**2
+
+    @cached_property
+    def _gap_terms(self):
+        """(1/tau0^2 - 1/tau1^2, log(tau0/tau1), log(pi/(1-pi))), for
+        :func:`optimal_p`."""
+        tau1_sq, tau0_sq = self._tau_sq
+        return (1.0 / tau0_sq - 1.0 / tau1_sq, np.log(self.tau0 / self.tau1),
+                np.log(self.pi / (1.0 - self.pi)))
+
+    @cached_property
+    def _penalty_terms(self):
+        """The slab's and the spike's 2 tau^2 and log term, for
+        :func:`penalty_R`."""
+        tau1_sq, tau0_sq = self._tau_sq
+        return (2.0 * tau1_sq, np.log(self.tau1 / self.pi),
+                2.0 * tau0_sq, np.log(self.tau0 / (1.0 - self.pi)))
 
 
 class VariationalParams:
@@ -117,10 +140,11 @@ class NoiseDraw:
         return np.random.default_rng(key).standard_normal(size, out=out)
 
 
-def _expit(x):
+def _expit(x, out=None):
     """Logistic 1 / (1 + e^-x); saturates to 0 or 1 without a warning."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(np.negative(x)))
+        t = np.exp(np.negative(x, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, t, out=out), out=out)
 
 
 def _xlogx(x):
@@ -128,14 +152,20 @@ def _xlogx(x):
     return x * np.log(np.where(x == 0.0, 1.0, x))
 
 
-def sigma_of_rho(rho):
-    """softplus(rho) = log(1 + e^rho), safe against over/underflow."""
-    return np.maximum(rho, 0.0) + np.log1p(np.exp(-np.abs(rho)))
+def sigma_of_rho(rho, *, out=None, work=None):
+    """softplus(rho) = log(1 + e^rho), safe against over/underflow.
+
+    ``out``, if given, receives the result, and ``work``, a second array
+    of rho's shape, the log1p term; the bits are a fresh array's."""
+    t = np.exp(np.negative(np.abs(rho, out=work), out=work), out=work)
+    return np.add(np.maximum(rho, 0.0, out=out), np.log1p(t, out=work),
+                  out=out)
 
 
-def dsigma_drho(rho):
-    """d softplus / d rho = 1 / (1 + e^-rho)."""
-    return _expit(rho)
+def dsigma_drho(rho, *, out=None):
+    """d softplus / d rho = 1 / (1 + e^-rho); ``out``, if given, receives
+    it, with a fresh array's bits."""
+    return _expit(rho, out=out)
 
 
 def _noise(vp: VariationalParams, eps) -> np.ndarray:
@@ -166,41 +196,56 @@ def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     p = np.asarray(p, dtype=float)
+    slab_scale, slab_log, spike_scale, spike_log = prior._penalty_terms
     s = m * m + sigma * sigma
-    slab = s / (2.0 * prior.tau1**2) + np.log(prior.tau1 / prior.pi)
-    spike = s / (2.0 * prior.tau0**2) + np.log(prior.tau0 / (1.0 - prior.pi))
+    slab = s / slab_scale + slab_log
+    spike = s / spike_scale + spike_log
     q = 1.0 - p
     entropy = _xlogx(p) + _xlogx(q)
     out = p * slab + q * spike - np.log(sigma) + entropy
     return out if out.ndim else float(out)
 
 
-def optimal_p(m, sigma, prior: SpikeSlabPrior):
+def optimal_p(m, sigma, prior: SpikeSlabPrior, *, out=None, work=None):
     """Closed-form minimizer of the penalty over p: logistic(B - A).
 
     Computed as a logistic of B - A so extreme gaps saturate cleanly to
-    0 or 1 instead of producing NaN.
+    0 or 1 instead of producing NaN.  ``out``, if given, receives p, and
+    ``work``, a second array of its shape, sigma^2; the bits are a fresh
+    array's.
     """
-    m = np.asarray(m, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    s = m * m + sigma * sigma
-    gap = (
-        0.5 * s * (1.0 / prior.tau0**2 - 1.0 / prior.tau1**2)
-        + np.log(prior.tau0 / prior.tau1)
-        + np.log(prior.pi / (1.0 - prior.pi))
-    )
-    out = _expit(gap)
-    return out if out.ndim else float(out)
+    if out is None:
+        m = np.asarray(m, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+    scale, log_tau, log_odds = prior._gap_terms
+    # 0.5 * s * scale + log_tau + log_odds, s = m^2 + sigma^2
+    s = np.add(np.multiply(m, m, out=out),
+               np.multiply(sigma, sigma, out=work), out=out)
+    gap = np.multiply(np.multiply(0.5, s, out=out), scale, out=out)
+    gap = np.add(np.add(gap, log_tau, out=out), log_odds, out=out)
+    p = _expit(gap, out=out)
+    return p if p.ndim else float(p)
 
 
-def grad_penalty(m, sigma, p, prior: SpikeSlabPrior):
-    """Closed-form (dR/dm, dR/d sigma^2) holding p fixed."""
-    m = np.asarray(m, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    p = np.asarray(p, dtype=float)
-    mix = p / prior.tau1**2 + (1.0 - p) / prior.tau0**2
-    d_m = m * mix
-    d_s2 = 0.5 * (mix - 1.0 / (sigma * sigma))
+def grad_penalty(m, sigma, p, prior: SpikeSlabPrior, *, out=None):
+    """Closed-form (dR/dm, dR/d sigma^2) holding p fixed.  ``out``, if
+    given, is the pair of arrays that receive them, with a fresh pair's
+    bits: the mix p / tau1^2 + (1 - p) / tau0^2 is built in the first
+    and d sigma^2 from it before dR/dm overwrites it."""
+    if out is None:
+        m = np.asarray(m, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        p = np.asarray(p, dtype=float)
+        out = (None, None)
+    tau1_sq, tau0_sq = prior._tau_sq
+    d_m, d_s2 = out
+    mix = np.add(np.divide(p, tau1_sq, out=d_m),
+                 np.divide(np.subtract(1.0, p, out=d_s2), tau0_sq, out=d_s2),
+                 out=d_m)
+    # 0.5 * (mix - 1 / sigma^2)
+    inv = np.divide(1.0, np.multiply(sigma, sigma, out=d_s2), out=d_s2)
+    d_s2 = np.multiply(0.5, np.subtract(mix, inv, out=d_s2), out=d_s2)
+    d_m = np.multiply(m, mix, out=d_m)
     if d_m.ndim:
         return d_m, d_s2
     return float(d_m), float(d_s2)

@@ -8,14 +8,15 @@ r_i = 2^(M-i) / (2^M - 1).
 
 A step is one call of the run's :class:`_Step`, whose docstring states
 the per-draw work, then the optimizer step on the one buffer ``[m | rho]``
-that ``vp.m`` and ``vp.rho`` view, then sigma and p refreshed.  Sigma is
-computed once per step: the draws, the penalty and the epoch's
-mean-weight loss reuse it or need none.  Only masked runs apply the keep
-mask: the draws zero the pruned entries of W and the step zeroes them in
-the gradient, so the update's step there is 0 and leaves them unchanged,
-and their p are kept.  :func:`objective_estimate` and
-:func:`step_gradients` are one call of a :class:`_Step` too.  A fixed
-seed gives bit-identical results, pinned by ``tests/test_golden.py``.
+that ``vp.m`` and ``vp.rho`` view, then sigma and p refreshed in place
+(:meth:`_Step.refresh`).  Sigma is computed once per step: the draws,
+the penalty and the epoch's mean-weight loss reuse it or need none.
+Only masked runs apply the keep mask: the draws zero the pruned entries
+of W and the step zeroes them in the gradient, so the update's step
+there is 0 and leaves them unchanged, and their p are kept.
+:func:`objective_estimate` and :func:`step_gradients` are one call of a
+:class:`_Step` too.  A fixed seed gives bit-identical results, pinned by
+``tests/test_golden.py``.
 
 The logged objective and the epoch's full-data ``train_loss`` are
 diagnostics that no parameter depends on.  ``diagnostics=False`` skips
@@ -23,23 +24,44 @@ the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
 Each ``train`` call allocates every array it writes once, before its
-first step: the ``[m | rho]`` buffer; the optimizer's moment and scratch
-vectors; one x and one y batch buffer with the largest batch's rows
-(np.array_split gives at most two batch sizes, so each batch's views are
-sliced once per run), which each step gathers its rows into; and its
-:class:`_Step`, with the gradient ``[grad_m | grad_rho]``, the noise,
-the sampled weights, a scratch vector, the draw's gradient, the pruned
-entries' indices (None for an unpruned model) and the arena: one row
-buffer per affine layer with max(2 * batch, n) rows, n only with
-diagnostics on.  A draw's activations use the arena's first batch rows
-and a hidden layer's backward delta the next batch rows.  ``backward``
-takes the hidden activations as its gate buffers too: it overwrites a
-layer's activation with its gate only after that layer's weight gradient
-has read it, and nothing reads it afterwards.  The epoch's full-data
-loss pass uses the first n rows, since it never runs during a step.  So
-the draw loop and the epoch make no batch- or (n, width)-sized temporary
-and the optimizer no parameter-sized one, and every expression keeps the
-order, hence the bits, of its allocating form in ``tests/reference.py``.
+first step, and builds every view into them once:
+
+- parameter-sized: ``[m | rho]``, which ``vp.m`` and ``vp.rho`` view, and
+  ``vp.p``, refreshed in place; adam's two moments and its step vector
+  (sgd has none); and in its :class:`_Step` the gradient
+  ``[grad_m | grad_rho]`` and its two halves, the noise, the sampled
+  weights with each layer's (W, b, W.T) views, the draw's gradient with
+  the same views, sigma, and the penalty gradient's d_m, d_s2 and
+  dsigma/drho;
+- the pruned entries' indices and their kept p (None for an unpruned
+  model);
+- the arena: one row buffer per affine layer with max(2 * batch, n) rows,
+  n only with diagnostics on;
+- one x and one y batch buffer with the largest batch's rows, which each
+  step gathers its rows into.
+
+np.array_split gives at most two batch sizes, so :meth:`_Step.bind`
+builds, once per run for each, the batch's forward trace, backward's
+work, the checked target column, the NLL constant and the rows of the
+squared residual; the epoch's loss pass gets its trace over all n rows
+once too.  A draw's activations use the arena's first batch rows, a
+hidden layer's backward delta and the squared residual the next batch
+rows, and its residual and output gradient overwrite the outputs.
+``backward`` takes the hidden activations as its gate buffers too: it
+overwrites a layer's activation with its gate only after that layer's
+weight gradient has read it, and nothing reads it afterwards.  Buffers
+whose uses do not overlap are shared: the sampled weights take the
+gradient's grad_m term once backward has read them, the optimizer writes
+its step over the gradient once its moments have read it, the refresh
+uses d_m and d_s2 as the closed forms' work, and the epoch's loss pass
+writes the mean weights into the sample buffer and its activations into
+the arena's first n rows, since it never runs during a step.  So with
+diagnostics off a step makes no parameter-, batch- or (n, width)-sized
+float temporary (the gradient's finiteness check makes a boolean one and
+a masked draw's ``sample_weights`` finds the pruned indices anew, less
+than one parameter vector together), and every expression keeps the
+operands and order, hence the bits, of its allocating form in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -53,8 +75,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .network import (
-    NetworkTopology, _check_inputs, _check_params, _forward,
-    _nll_and_grad, backward, forward,
+    NetworkTopology, _check_inputs, _check_params, _forward, _layers,
+    _nll_and_grad, _nll_constant, _targets, _trace, backward, forward,
 )
 from .svi import (
     NoiseDraw, SpikeSlabPrior, VariationalParams, _noise, dsigma_drho,
@@ -95,8 +117,10 @@ class TrainConfig:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.mc_samples < 1:
-            raise ValueError("epochs, batch_size, mc_samples must be positive")
+        for name in ("epochs", "batch_size", "mc_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
@@ -144,13 +168,13 @@ def minibatch_weights(n_batches: int, schedule: str) -> np.ndarray:
 
 
 class _Sgd:
-    def __init__(self, lr, size):
+    def __init__(self, lr):
         self.lr = lr
-        self.step = np.empty(size)
 
     def update(self, grad):
-        """The step to subtract from the parameters, in a reused buffer."""
-        return np.multiply(self.lr, grad, out=self.step)
+        """The step to subtract from the parameters, lr * grad, written
+        over ``grad``."""
+        return np.multiply(self.lr, grad, out=grad)
 
 
 class _Adam:
@@ -160,24 +184,24 @@ class _Adam:
         self.m2 = np.zeros(size)
         self.t = 0
         self.step = np.empty(size)
-        self.scratch = np.empty(size)
 
     def update(self, grad):
-        """The step to subtract from the parameters, in a reused buffer:
-        lr * mhat / (sqrt(vhat) + eps), evaluated in that order."""
+        """The step to subtract from the parameters, written over ``grad``
+        once the moments have read it: lr * mhat / (sqrt(vhat) + eps),
+        evaluated in that order."""
         self.t += 1
-        step, scratch = self.step, self.scratch
+        step = self.step
         self.m1 *= ADAM_BETA1
         self.m1 += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
         self.m2 *= ADAM_BETA2
         np.multiply(1.0 - ADAM_BETA2, grad, out=step)
         self.m2 += np.multiply(step, grad, out=step)
-        np.divide(self.m1, 1.0 - ADAM_BETA1**self.t, out=step)    # mhat
-        np.divide(self.m2, 1.0 - ADAM_BETA2**self.t, out=scratch)  # vhat
-        np.multiply(self.lr, step, out=step)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        return np.divide(step, scratch, out=step)
+        np.divide(self.m1, 1.0 - ADAM_BETA1**self.t, out=grad)   # mhat
+        np.divide(self.m2, 1.0 - ADAM_BETA2**self.t, out=step)   # vhat
+        np.multiply(self.lr, grad, out=grad)
+        np.sqrt(step, out=step)
+        step += ADAM_EPS
+        return np.divide(grad, step, out=grad)
 
 
 def init_params(
@@ -195,71 +219,96 @@ def init_params(
 
 class _Step:
     """The minibatch step of ``vp``'s pathwise objective, with every array
-    a draw writes allocated once for batches of up to ``rows`` rows (the
-    module docstring lists them).  A caller that runs a full-data pass
-    between steps, as ``train``'s epoch loss does, passes its row count as
-    ``loss_rows`` and writes into the arena's first rows."""
+    a step writes allocated once for batches of up to ``rows`` rows, and
+    the views into them built once (the module docstring lists both).  A
+    caller that runs a full-data pass between steps, as ``train``'s epoch
+    loss does, passes its row count as ``loss_rows`` and writes into the
+    arena's first rows."""
 
-    __slots__ = ("topology", "vp", "prior", "noise_variance", "grad", "eps",
-                 "w", "scratch", "arena", "work", "pruned")
+    __slots__ = ("topology", "vp", "prior", "noise_variance", "rows",
+                 "grad", "grad_m", "grad_rho", "eps", "w", "layers", "g",
+                 "g_layers", "sigma", "d_m", "d_s2", "sp",
+                 "arena", "pruned", "kept_p")
 
     def __init__(self, topology, vp: VariationalParams, prior,
                  noise_variance, rows: int, loss_rows: int = 0):
         size = len(vp)
         self.topology, self.vp, self.prior = topology, vp, prior
-        self.noise_variance = noise_variance
+        self.noise_variance, self.rows = noise_variance, rows
         self.grad = np.empty(2 * size)
+        self.grad_m, self.grad_rho = self.grad[:size], self.grad[size:]
         self.eps = np.empty(size)
         self.w = np.empty(size)
-        self.scratch = np.empty(size)
+        self.layers = _layers(topology, self.w)
+        self.g = np.empty(size)
+        self.g_layers = _layers(topology, self.g)
+        self.sigma = sigma_of_rho(vp.rho)
+        self.d_m, self.d_s2, self.sp = (np.empty(size) for _ in range(3))
         self.arena = [np.empty((max(2 * rows, loss_rows), width))
                       for width in topology.layer_sizes[1:]]
-        self.work = (np.empty(size),
-                     [buf[rows:2 * rows] for buf in self.arena[:-1]],
-                     self.arena[:-1])
         # indices, not the boolean mask: numpy reads and writes a scattered
         # subset by index several times faster than through a mask
         self.pruned = (None if vp.active is None
                        else np.flatnonzero(~vp.active))
+        self.kept_p = None if self.pruned is None else vp.p[self.pruned]
 
-    def __call__(self, sigma, kl, x, y, noises, with_penalty) -> float:
+    def bind(self, x, y):
+        """What every step on the batch arrays ``x`` (checked by the
+        caller) and ``y`` reads and writes: the trace of the sample buffer
+        on x's rows of the arena, backward's work (the draw's gradient and
+        its views, the arena's next rows as deltas, the hidden activations
+        as gates), the checked targets, the NLL constant and the rows that
+        receive the squared residual.  The caller may refill x and y
+        between steps."""
+        rows = x.shape[0]
+        trace = _trace(self.topology, self.w, x, self.arena, self.layers)
+        spare = [buf[self.rows:self.rows + rows] for buf in self.arena]
+        outputs = trace.acts[-1]
+        return (trace, (self.g, self.g_layers, spare[:-1], trace.acts[1:-1]),
+                _targets(outputs, y, self.noise_variance),
+                _nll_constant(outputs.size, self.noise_variance), spare[-1])
+
+    def __call__(self, kl, batch, noises, with_penalty) -> float:
         """Fill ``grad`` with the gradient averaged over the draws
-        ``noises`` (standard-normal vectors, read one at a time) and return
-        the mean over draws of NLL + kl * R.
+        ``noises`` (standard-normal vectors, read one at a time) on the
+        :meth:`bind` views ``batch`` and return the mean over draws of
+        NLL + kl * R.
 
-        ``sigma`` is softplus(vp.rho) and ``kl`` the batch's penalty share.
-        The draw-free terms come first: dsigma/drho, kl * dR/dm and
-        kl * dR/drho = kl * dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per
-        draw: W sampled into ``w``, the forward loop into ``arena`` (the
-        caller has checked the shapes, so without :func:`forward`'s checks
-        or copy), the NLL and its output gradient from one residual,
-        ``backward`` into ``work`` (it overwrites each hidden activation
-        with its gate), and the draw's gradient added to ``grad``: the
-        likelihood gradient enters grad_m directly and grad_rho via
-        eps * dsigma/drho.  If ``with_penalty``, each draw also makes one
-        :func:`penalty_total` call; without it the objective is the mean
-        NLL, with the same gradient bits.  After the draws the pruned
-        entries of ``grad`` are zeroed.
+        ``kl`` is the batch's penalty share, and ``sigma`` holds
+        softplus(vp.rho).  The draw-free terms come first, into their
+        buffers: dsigma/drho, kl * dR/dm and kl * dR/drho = kl *
+        dR/dsigma^2 * 2 sigma * dsigma/drho.  Then per draw: W sampled into ``w``, the forward loop
+        on the batch's trace, the NLL and its output gradient from one
+        residual, ``backward`` into the batch's work (it overwrites each
+        hidden activation with its gate), and the draw's gradient added to
+        ``grad``: the likelihood gradient enters grad_m directly and
+        grad_rho via eps * dsigma/drho.  If ``with_penalty``, each draw
+        also makes one :func:`penalty_total` call; without it the objective
+        is the mean NLL, with the same gradient bits.  After the draws the
+        pruned entries of ``grad`` are zeroed.
         """
-        vp, prior, grad = self.vp, self.prior, self.grad
-        d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior)
-        sp = dsigma_drho(vp.rho)
+        vp, prior, grad, sigma = self.vp, self.prior, self.grad, self.sigma
+        trace, work, t, constant, square = batch
+        d_m, d_s2 = grad_penalty(vp.m, sigma, vp.p, prior,
+                                 out=(self.d_m, self.d_s2))
+        sp = dsigma_drho(vp.rho, out=self.sp)
         # kl * d_m and (((kl * d_s2) * 2.0) * sigma) * sp, in their buffers
         pen_m = np.multiply(kl, d_m, out=d_m)
         pen_rho = np.multiply(kl, d_s2, out=d_s2)
         pen_rho *= 2.0
         pen_rho *= sigma
         pen_rho *= sp
-        size = len(vp)
-        grad_m, grad_rho = grad[:size], grad[size:]
+        grad_m, grad_rho = self.grad_m, self.grad_rho
         grad.fill(0.0)
         obj = 0.0
         for draws, e in enumerate(noises, 1):
-            w = sample_weights(vp, e, sigma=sigma, out=self.w)
-            outputs, trace = _forward(self.topology, w, x, out=self.arena)
-            data_nll, g_out = _nll_and_grad(outputs, y, self.noise_variance)
-            g_w = backward(trace, g_out, work=self.work)
-            grad_m += np.add(g_w, pen_m, out=self.scratch)
+            sample_weights(vp, e, sigma=sigma, out=self.w)
+            data_nll, g_out = _nll_and_grad(_forward(trace), t,
+                                            self.noise_variance, constant,
+                                            square)
+            g_w = backward(trace, g_out, work=work)
+            # the sample is spent once backward has read it
+            grad_m += np.add(g_w, pen_m, out=self.w)
             g_w *= e                 # g_w * e * sp + pen_rho, in g_w's buffer
             g_w *= sp
             g_w += pen_rho
@@ -271,8 +320,19 @@ class _Step:
         if self.pruned is not None:
             grad_m[self.pruned] = 0.0
             grad_rho[self.pruned] = 0.0
-        grad /= draws
+        if draws > 1:   # x / 1 is x
+            grad /= draws
         return obj / draws
+
+    def refresh(self):
+        """sigma and p at the updated (m, rho), into ``sigma`` and
+        ``vp.p``; pruned entries keep their p.  It runs after the draws, so
+        the penalty gradient's buffers serve as the closed forms' work."""
+        vp = self.vp
+        sigma_of_rho(vp.rho, out=self.sigma, work=self.d_m)
+        optimal_p(vp.m, self.sigma, self.prior, out=vp.p, work=self.d_s2)
+        if self.pruned is not None:
+            vp.p[self.pruned] = self.kept_p
 
 
 def _mean_weights(vp: VariationalParams) -> np.ndarray:
@@ -280,14 +340,16 @@ def _mean_weights(vp: VariationalParams) -> np.ndarray:
     return vp.m if vp.active is None else np.where(vp.active, vp.m, 0.0)
 
 
-def _train_loss(topology, vp, x, y, out):
-    """Full-data mean squared error at the posterior mean.  ``out`` holds
-    one buffer per affine layer with at least n rows; the pass writes into
-    their first n rows and allocates no (n, width) array."""
-    outputs, _ = _forward(topology, _mean_weights(vp), x, out=out)
-    t = np.asarray(y, dtype=float)
-    if t.ndim == 1 and outputs.shape[1] == 1:
-        t = t[:, None]
+def _train_loss(vp, trace, t, pruned):
+    """Full-data mean squared error at the posterior mean against ``t``:
+    W = m, with the ``pruned`` entries 0, is written into
+    ``trace.params`` and the pass into the trace's rows, so it allocates
+    no (n, width) array."""
+    w = trace.params
+    np.copyto(w, vp.m)
+    if pruned is not None:
+        w[pruned] = 0.0
+    outputs = _forward(trace)
     np.subtract(outputs, t, out=outputs)
     return float(np.mean(np.square(outputs, out=outputs)))
 
@@ -340,7 +402,6 @@ def train(
     small, extra = divmod(dataset.n, n_batches)
     bounds = [b * small + min(b, extra) for b in range(n_batches + 1)]
     rows = small + (extra > 0)
-    optimizer = _Adam if config.optimizer == "adam" else _Sgd
     try:
         vp = init.copy() if init is not None else init_params(
             topology, prior, config, master
@@ -348,7 +409,8 @@ def train(
         size = len(vp)
         theta = np.concatenate([vp.m, vp.rho])
         vp.m, vp.rho = theta[:size], theta[size:]
-        opt = optimizer(config.learning_rate, 2 * size)
+        opt = (_Adam(config.learning_rate, 2 * size)
+               if config.optimizer == "adam" else _Sgd(config.learning_rate))
         batch_step = _Step(topology, vp, prior, config.noise_variance, rows,
                            dataset.n if diagnostics else 0)
         x_buf = np.empty((rows, dataset.n_features))
@@ -358,16 +420,22 @@ def train(
         raise ValueError(
             f"layer_sizes = {topology.layer_sizes}: {exc}") from None
     grad, pruned = batch_step.grad, batch_step.pruned
-    views = {r: (x_buf[:r], y_buf[:r]) for r in {small, rows}}
-    batches = [(lo, hi) + views[hi - lo] for lo, hi in zip(bounds, bounds[1:])]
+    views = {r: (x_buf[:r], y_buf[:r], batch_step.bind(x_buf[:r], y_buf[:r]))
+             for r in {small, rows}}
     kl_weights = minibatch_weights(n_batches, config.kl_schedule)
+    batches = [(lo, hi, kl) + views[hi - lo]
+               for lo, hi, kl in zip(bounds, bounds[1:], kl_weights)]
+    if diagnostics:
+        loss_trace = _trace(topology, batch_step.w, x_all, batch_step.arena,
+                            batch_step.layers)
+        loss_t = _targets(loss_trace.acts[-1], y_all, config.noise_variance)
     try:
         objective = np.zeros(config.epochs)
         train_loss = np.zeros(config.epochs)
         wall_ms = np.zeros(config.epochs)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"epochs = {config.epochs}: {exc}") from None
-    sigma = sigma_of_rho(vp.rho)
+    sigma = batch_step.sigma
 
     draw_index = 0
     step = 0
@@ -375,18 +443,17 @@ def train(
         t0 = time.perf_counter()
         perm = master.permutation(dataset.n)
         epoch_obj = 0.0
-        for b, (lo, hi, xb, yb) in enumerate(batches):
+        for lo, hi, kl, xb, yb, batch in batches:
             # mode="clip" gathers straight into the buffer, where "raise"
             # would fill a temporary first; a permutation's slice never clips
             idx = perm[lo:hi]
             x_all.take(idx, axis=0, out=xb, mode="clip")
             y_all.take(idx, axis=0, out=yb, mode="clip")
-            kl = kl_weights[b]
             noises = (NoiseDraw.draw(size, config.seed, i, out=batch_step.eps)
                       for i in range(draw_index,
                                      draw_index + config.mc_samples))
             draw_index += config.mc_samples
-            obj = batch_step(sigma, kl, xb, yb, noises, diagnostics)
+            obj = batch_step(kl, batch, noises, diagnostics)
             grad_ok = np.isfinite(grad).all()
             if not (diagnostics
                     or (grad_ok and _penalty_screened(vp, sigma, prior))):
@@ -399,17 +466,12 @@ def train(
                 bad_m = not np.isfinite(grad[:size]).all()
                 raise NumericalAbort(step, "grad_m" if bad_m else "grad_rho")
             np.subtract(theta, opt.update(grad), out=theta)
-            sigma = sigma_of_rho(vp.rho)
-            p = optimal_p(vp.m, sigma, prior)
-            if pruned is not None:
-                p[pruned] = vp.p[pruned]
-            vp.p = p
+            batch_step.refresh()
             epoch_obj += obj
             step += 1
         objective[epoch] = epoch_obj
         if diagnostics:
-            train_loss[epoch] = _train_loss(topology, vp, x_all, y_all,
-                                            batch_step.arena)
+            train_loss[epoch] = _train_loss(vp, loss_trace, loss_t, pruned)
         wall_ms[epoch] = (time.perf_counter() - t0) * 1e3
     return TrainReport(
         objective=objective if diagnostics else None,
@@ -461,7 +523,7 @@ def objective_estimate(
     if not draws:
         raise ValueError("noise holds no draws; the objective needs >= 1")
     step = _Step(topology, vp, prior, noise_variance, x.shape[0])
-    return step(vp.sigma, kl_weight, x, y, draws, True)
+    return step(kl_weight, step.bind(x, y), draws, True)
 
 
 def step_gradients(
@@ -480,9 +542,8 @@ def step_gradients(
     """
     x = _checked_step(topology, vp, x, kl_weight)
     step = _Step(topology, vp, prior, noise_variance, x.shape[0])
-    step(vp.sigma, kl_weight, x, y, [_noise(vp, eps)], False)
-    size = len(vp)
-    return step.grad[:size], step.grad[size:]
+    step(kl_weight, step.bind(x, y), [_noise(vp, eps)], False)
+    return step.grad_m, step.grad_rho
 
 
 def predict(topology: NetworkTopology, vp: VariationalParams, x):

@@ -554,6 +554,13 @@ def _write(path, text):
     return str(path)
 
 
+def _one_row_manifest(tmp):
+    """A benchmark manifest whose one CSV has a single data row."""
+    _write(tmp / "one.csv", "a,y\n1,2\n")
+    return _write(tmp / "manifest.json", json.dumps(
+        {"datasets": [{"name": "one", "path": "one.csv", "target": "y"}]}))
+
+
 # the run's checkpoint with a header that names a softmax head
 _softmax_checkpoint = _rewrite_checkpoint(lambda raw: reframe(
     raw, lambda header: header.update(output_head="softmax")))
@@ -763,7 +770,36 @@ BAD_INPUTS = [
           ("data-csv-without-target", "csv:path=a.csv",
            "csv spec needs path= and target="),
           ("data-key-without-value", "sparse:n=50,d",
-           "expected key=value, got 'd'"))),
+           "expected key=value, got 'd'"),
+          ("data-csv-empty-path", "csv:path=,target=y",
+           "csv spec needs path= and target=; empty or missing: path"),
+          # a train/test split needs 2 rows
+          ("data-sparse-n-1", "sparse:n=1,d=3",
+           "sparse data spec: n = 1, d = 3: needs at least 2 rows"),
+          ("data-two-feature-n-0", "two_feature:n=0",
+           "two_feature data spec: n = 0: needs at least 2 rows"))),
+    pytest.param(lambda run, tmp: [
+        "train", "--out", str(tmp / "x"), "--data",
+        "csv:path=" + _write(tmp / "one.csv", "a,y\n1,2\n") + ",target=y"],
+        "one.csv: needs at least 2 rows for a train/test split, got 1",
+        id="train-csv-one-row"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", _one_row_manifest(tmp), "--repeats", "1",
+        "--epochs", "1", "--out", str(tmp / "b.csv")],
+        "one.csv: needs at least 2 rows for a train/test split, got 1",
+        id="benchmark-csv-one-row"),
+    *(pytest.param(lambda run, tmp, option=option: [
+        "train", "--data", BAD_DATA, option, "0", "--out", str(tmp / "x")],
+        named, id=f"cli{option[1:]}-0")
+      for option, named in (
+          ("--epochs", "epochs must be >= 1, got 0"),
+          ("--batch", "batch_size must be >= 1, got 0"),
+          ("--mc-samples", "mc_samples must be >= 1, got 0"))),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--log-tau0", "5",
+        "--out", str(tmp / "x")],
+        "log_tau0 = 5.0, log_tau1 = 0.0: prior scales must satisfy",
+        id="cli-log-tau0-5"),
 ]
 
 

@@ -20,7 +20,7 @@ from sparsebnn import (
     nll,
     nll_grad,
 )
-from sparsebnn.network import _backward_work, _forward, layer_slices
+from sparsebnn.network import _backward_work, _forward, _trace, layer_slices
 
 
 def _pack(layers):
@@ -227,9 +227,10 @@ class TestBackward:
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
 def test_backward_into_work_buffers_is_bit_equal(activation, masked):
-    # work buffers with more rows than the batch, and a forward that keeps
-    # only the in-place activations, give the allocating path's bits; the
-    # masked W has units whose z is exactly 0, relu's kink
+    # fresh work buffers, and a forward into row buffers with more rows
+    # than the batch that keeps only the in-place activations, give the
+    # allocating path's bits; the masked W has units whose z is exactly 0,
+    # relu's kink
     rng = np.random.default_rng(31)
     topo = NetworkTopology((4, 6, 5, 2), hidden_activation=activation)
     w = rng.standard_normal(topo.n_params)
@@ -239,17 +240,18 @@ def test_backward_into_work_buffers_is_bit_equal(activation, masked):
     g_out = rng.standard_normal((7, 2))
     out, trace = forward(topo, w, x)
     want = backward(trace, g_out).tobytes()
-    rows = 10
-    work = _backward_work(topo, rows)
+    work = _backward_work(topo, 7)
     assert backward(trace, g_out, work=work) is work[0]
     assert work[0].tobytes() == want
-    acts = [np.empty((rows, width)) for width in topo.layer_sizes[1:]]
-    out_in_place, in_place = _forward(topo, w, x, out=acts)
-    assert out_in_place.tobytes() == out.tobytes()
-    grad = backward(in_place, g_out, work=_backward_work(topo, rows))
+    acts = [np.empty((16, width)) for width in topo.layer_sizes[1:]]
+    in_place = _trace(topo, w, x, acts)
+    assert _forward(in_place).tobytes() == out.tobytes()
+    grad = backward(in_place, g_out, work=_backward_work(topo, 7))
     assert grad.tobytes() == want
-    # training's aliasing: each hidden activation is its own gate buffer,
-    # overwritten only after its layer's weight gradient has read it
-    grad, deltas, _ = _backward_work(topo, rows)
-    assert backward(in_place, g_out,
-                    work=(grad, deltas, acts[:-1])).tobytes() == want
+    # training's aliasing: the deltas in the rows after the batch's, and
+    # each hidden activation its own gate buffer, overwritten only after
+    # its layer's weight gradient has read it
+    grad, grads, _, _ = _backward_work(topo, 7)
+    deltas = [buf[7:14] for buf in acts[:-1]]
+    assert backward(in_place, g_out, work=(
+        grad, grads, deltas, in_place.acts[1:-1])).tobytes() == want

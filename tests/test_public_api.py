@@ -109,7 +109,11 @@ CROSS_MODULE_PRIVATE = {
     ("training", "network", "_check_inputs"),
     ("training", "network", "_check_params"),
     ("training", "network", "_forward"),
+    ("training", "network", "_layers"),
     ("training", "network", "_nll_and_grad"),
+    ("training", "network", "_nll_constant"),
+    ("training", "network", "_targets"),
+    ("training", "network", "_trace"),
     ("training", "svi", "_noise"),
 }
 

@@ -126,6 +126,28 @@ class TestNumpyKernels:
             optimal_p(x, sigma_of_rho(x), prior)
             penalty_R(np.zeros_like(p), np.ones_like(p), p, prior)
 
+    def test_out_forms_give_the_allocating_bits(self):
+        # the buffered closed forms training calls, on the full range and
+        # the special values, equal their allocating calls byte for byte,
+        # and the three that never warn do not warn buffered either
+        x = np.concatenate([self.X, self.SPECIAL])
+        sigma = sigma_of_rho(x)
+        p = np.resize(np.concatenate([self.P, [0.0, 1.0, np.nan]]), x.size)
+        prior = SpikeSlabPrior(pi=0.3, tau1=1.0, tau0=0.1)
+        a, b = np.empty_like(x), np.empty_like(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigma_of_rho(x, out=a, work=b).tobytes() == sigma.tobytes()
+            assert (dsigma_drho(x, out=a).tobytes()
+                    == dsigma_drho(x).tobytes())
+            assert (optimal_p(x, sigma, prior, out=a, work=b).tobytes()
+                    == optimal_p(x, sigma, prior).tobytes())
+        with np.errstate(all="ignore"):   # sigma = 0 and inf, as unbuffered
+            got = grad_penalty(x, sigma, p, prior, out=(a, b))
+            want = grad_penalty(x, sigma, p, prior)
+        assert got[0] is a and got[1] is b
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
 
 class TestSampleWeights:
     def test_zero_noise_returns_means(self):

@@ -15,6 +15,7 @@ from sparsebnn import (
     TrainConfig,
     VariationalParams,
     gen_two_feature,
+    init_params,
     load_checkpoint,
     minibatch_weights,
     objective_estimate,
@@ -455,6 +456,35 @@ def test_row_buffers_share_one_buffer_per_layer(diagnostics):
     peak = traced_peak(
         lambda: train(topo, prior, ds, config, diagnostics=diagnostics))
     assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_step_allocates_less_than_one_parameter_vector(optimizer):
+    # a masked two-draw shape where parameter vectors dwarf the row
+    # buffers: a run peaks within the buffers the training module docstring
+    # lists plus one parameter vector, which holds the draws' transient
+    # pruned-entry indices
+    rng = np.random.default_rng(21)
+    n, batch, epochs = 40, 20, 2
+    ds = Dataset(rng.standard_normal((n, 60)), rng.standard_normal(n),
+                 [f"x{j}" for j in range(60)])
+    topo = NetworkTopology((60, 120, 60, 1))
+    prior = SpikeSlabPrior(0.5, 1.0, 0.1)
+    _, init = prune(init_params(topo, prior, None, rng), "inclusion_p", 0.5)
+    config = TrainConfig(epochs=epochs, batch_size=batch, optimizer=optimizer,
+                         mc_samples=2, seed=3)
+    size = topo.n_params
+    # [m | rho], p, grad, the step's eps, w, g, sigma, d_m, d_s2 and sp,
+    # and adam's two moments and its step
+    vectors = 2 + 1 + 2 + 7 + (6 if optimizer == "adam" else 0)
+    pruned = int((~init.active).sum())
+    listed = (8 * size * vectors + size + 16 * pruned
+              + 8 * 2 * batch * sum(topo.layer_sizes[1:])
+              + 8 * batch * (topo.n_inputs + 1) + 8 * (3 * epochs + n))
+    train(topo, prior, ds, config, init=init, diagnostics=False)
+    peak = traced_peak(lambda: train(topo, prior, ds, config, init=init,
+                                     diagnostics=False))
+    assert peak < listed + 8 * size, (peak, listed)
 
 
 # divergent runs; in all but the last the gradient and the penalty value
