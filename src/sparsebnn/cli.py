@@ -95,6 +95,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _flag(key: str) -> str:
+    """The command-line spelling of option ``key``."""
+    return "--" + key.replace("_", "-")
+
+
 def _parse_kv(text: str) -> dict:
     out = {}
     for part in text.split(","):
@@ -235,7 +240,7 @@ def resolve_options(args) -> dict:
     for k in DEFAULTS:
         cli_val = getattr(args, k, None)
         if cli_val is not None:
-            merged[k] = _coerce(k, cli_val, "--" + k.replace("_", "-"))
+            merged[k] = _coerce(k, cli_val, _flag(k))
     if merged["split_seed"] is None:
         merged["split_seed"] = merged["seed"]
     return merged
@@ -267,14 +272,29 @@ def _topology_from(opts, n_features) -> NetworkTopology:
 
 
 def _train_config_from(opts) -> TrainConfig:
-    return TrainConfig(**{field: opts[key]
-                          for key, field in _TRAIN_FIELDS.items()})
+    """The options' TrainConfig; a value it rejects raises ConfigError
+    naming the option, found through ``_TRAIN_FIELDS``: each of
+    TrainConfig's messages starts with the field it rejects."""
+    try:
+        return TrainConfig(**{field: opts[key]
+                              for key, field in _TRAIN_FIELDS.items()})
+    except ValueError as exc:
+        key = {field: key for key, field in _TRAIN_FIELDS.items()}.get(
+            str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ConfigError(f"{_flag(key)} = {opts[key]!r}: {exc}") from None
 
 
 def _split(full, opts, repeat=0):
-    """Split with seed ``split_seed + repeat``; standardize if opts say so."""
-    train_ds, test_ds = split(full, opts["train_frac"],
-                              seed=opts["split_seed"] + repeat)
+    """Split with seed ``split_seed + repeat``; standardize if opts say so.
+    A fraction or seed the split rejects raises ConfigError naming both."""
+    seed = opts["split_seed"] + repeat
+    try:
+        train_ds, test_ds = split(full, opts["train_frac"], seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--train-frac = {opts['train_frac']!r}, "
+                          f"--split-seed = {seed}: {exc}") from None
     if not opts["standardize"]:
         return train_ds, test_ds, None
     return standardize_fit_apply(train_ds, test_ds)
@@ -530,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value option file")
         for key in DEFAULTS:
             if key != "standardize":  # set only from a config file
-                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                p.add_argument(_flag(key), dest=key,
                                choices=choices.get(key), help=helps.get(key))
         p.add_argument("--out")
 

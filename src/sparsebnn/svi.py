@@ -28,6 +28,7 @@ check does (``scipy.integrate``).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,6 +40,15 @@ from .network import ShapeMismatch, forward
 
 # SeedSequence splits an int past this into several 32-bit words
 _WORD_LIMIT = 2**32
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 256   # indices of one seed whose PCG64 seeds are mixed at once
+# per thread: a Generator whose state each draw sets, and the last block
+_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -124,20 +134,77 @@ class VariationalParams:
         )
 
 
+def _hash(value, h, mult):
+    """One SeedSequence hash of the uint32 words ``value`` under the hash
+    constant ``h``: (the hashed words, the next constant)."""
+    value = value ^ h
+    h = h * mult & 0xFFFFFFFF
+    value *= h                  # uint32 arithmetic wraps as numpy's C does
+    return value ^ (value >> 16), h
+
+
+def _pcg_seeds(seed, start):
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for the
+    ``_BLOCK`` indices i from ``start``, one 4-tuple of ints each: numpy's
+    pool mix of the entropy words (seed, i) and its state generation, on
+    uint32 arrays over the block."""
+    pool = [np.full(_BLOCK, seed, np.uint32),
+            np.arange(start, start + _BLOCK, dtype=np.uint32),
+            np.zeros(_BLOCK, np.uint32), np.zeros(_BLOCK, np.uint32)]
+    h = _INIT_A
+    for i in range(4):
+        pool[i], h = _hash(pool[i], h, _MULT_A)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, h = _hash(pool[src], h, _MULT_A)
+                mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    h, words = _INIT_B, []
+    for i in range(8):
+        word, h = _hash(pool[i % 4], h, _MULT_B)
+        words.append(word.astype(np.uint64))
+    # little-endian pairs of 32-bit words make each 64-bit word
+    return list(zip(*((words[i] | words[i + 1] << 32).tolist()
+                      for i in range(0, 8, 2))))
+
+
 class NoiseDraw:
     """Standard-normal vectors reproducible from (seed, index)."""
 
     @classmethod
     def draw(cls, size: int, seed: int, index: int = 0, *,
              out=None) -> np.ndarray:
-        """The ``size`` standard-normal values of (seed, index), written
-        into and returned as ``out`` if given, with the same bits as a
-        fresh array's."""
-        key = [int(seed), int(index)]
-        if 0 <= key[0] < _WORD_LIMIT and 0 <= key[1] < _WORD_LIMIT:
-            # the same SeedSequence words as the list, coerced faster
-            key = np.array(key, dtype=np.uint32)
-        return np.random.default_rng(key).standard_normal(size, out=out)
+        """The ``size`` standard-normal values of (seed, index), that is
+        ``np.random.default_rng([seed, index]).standard_normal(size)``,
+        written into and returned as ``out`` if given, with the same bits
+        as a fresh array's.
+
+        When seed and index are both below 2**32, the draw does not build
+        that Generator: it sets the PCG64 state the pair seeds on one
+        Generator per thread, from the block of ``_BLOCK`` indices whose
+        seeds :func:`_pcg_seeds` mixed at once."""
+        seed, index = int(seed), int(index)
+        if not (0 <= seed < _WORD_LIMIT and 0 <= index < _WORD_LIMIT):
+            return np.random.default_rng([seed, index]).standard_normal(
+                size, out=out)
+        start = index - index % _BLOCK
+        streams = _streams
+        if getattr(streams, "key", None) != (seed, start):
+            if not hasattr(streams, "gen"):
+                streams.gen = np.random.Generator(np.random.PCG64(0))
+            streams.seeds = _pcg_seeds(seed, start)
+            streams.key = (seed, start)
+        hi, lo, inc_hi, inc_lo = streams.seeds[index - start]
+        # PCG64's seeding: inc = 2 * initseq + 1, then from state 0 one LCG
+        # step, initstate added, and a second step
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
+        state = (((hi << 64 | lo) + inc) * _PCG_MULT + inc) % 2**128
+        gen = streams.gen
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return gen.standard_normal(size, out=out)
 
 
 def _expit(x, out=None):
@@ -147,9 +214,12 @@ def _expit(x, out=None):
         return np.divide(1.0, np.add(1.0, t, out=out), out=out)
 
 
-def _xlogx(x):
-    """x * log(x), with 0 * log 0 = 0."""
-    return x * np.log(np.where(x == 0.0, 1.0, x))
+def _xlogx(x, out=None):
+    """x * log(x), with 0 * log 0 = 0; ``out``, if given and not ``x``,
+    receives it.  log(1) = 0 stands in at x = 0, where(x == 0, 1, x)
+    built as (x == 0) + x, so that ``out`` can hold it."""
+    where = np.add(np.equal(x, 0.0, out=out), x, out=out)
+    return np.multiply(x, np.log(where, out=out), out=out)
 
 
 def sigma_of_rho(rho, *, out=None, work=None):
@@ -252,13 +322,31 @@ def grad_penalty(m, sigma, p, prior: SpikeSlabPrior, *, out=None):
 
 
 def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior, *,
-                  sigma=None) -> float:
+                  sigma=None, work=None) -> float:
     """Sum of R over active parameters; ``sigma`` is softplus(vp.rho), if
-    the caller already has it."""
+    the caller already has it, and ``work``, if given, three arrays of
+    vp's length that the sum overwrites.  The bits are those of summing
+    :func:`penalty_R` over the active entries: R's operations run in
+    place, with its operands and order, at every entry, and a masked vp's
+    active entries are gathered in order before the sum."""
     if sigma is None:
         sigma = vp.sigma
-    if vp.active is None:
-        return float(penalty_R(vp.m, sigma, vp.p, prior).sum())
-    act = np.flatnonzero(vp.active)
-    return float(penalty_R(vp.m.take(act), sigma.take(act), vp.p.take(act),
-                           prior).sum())
+    m, p = vp.m, vp.p
+    a, b, c = (work if work is not None
+               else (np.empty(len(vp)) for _ in range(3)))
+    slab_scale, slab_log, spike_scale, spike_log = prior._penalty_terms
+    s = np.add(np.multiply(m, m, out=a), np.multiply(sigma, sigma, out=b),
+               out=a)
+    slab = np.add(np.divide(s, slab_scale, out=b), slab_log, out=b)
+    spike = np.add(np.divide(s, spike_scale, out=a), spike_log, out=a)
+    q = np.subtract(1.0, p, out=c)
+    r = np.add(np.multiply(p, slab, out=b), np.multiply(q, spike, out=a),
+               out=b)
+    xlogx_q = _xlogx(q, out=a)
+    entropy = np.add(_xlogx(p, out=c), xlogx_q, out=c)
+    r = np.subtract(r, np.log(sigma, out=a), out=b)
+    r = np.add(r, entropy, out=b)
+    if vp.active is not None:
+        kept = np.flatnonzero(vp.active)
+        r = r.take(kept, out=a[:kept.size], mode="clip")
+    return float(r.sum())

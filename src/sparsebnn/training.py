@@ -52,16 +52,18 @@ overwrites a layer's activation with its gate only after that layer's
 weight gradient has read it, and nothing reads it afterwards.  Buffers
 whose uses do not overlap are shared: the sampled weights take the
 gradient's grad_m term once backward has read them, the optimizer writes
-its step over the gradient once its moments have read it, the refresh
-uses d_m and d_s2 as the closed forms' work, and the epoch's loss pass
-writes the mean weights into the sample buffer and its activations into
-the arena's first n rows, since it never runs during a step.  So with
-diagnostics off a step makes no parameter-, batch- or (n, width)-sized
-float temporary (the gradient's finiteness check makes a boolean one and
-a masked draw's ``sample_weights`` finds the pruned indices anew, less
-than one parameter vector together), and every expression keeps the
-operands and order, hence the bits, of its allocating form in
-``tests/reference.py``.
+its step over the gradient once its moments have read it, the penalty
+value sums in the sample, draw-gradient and noise buffers once the
+draw's gradient is in grad, the refresh uses d_m and d_s2 as the closed
+forms' work, and the epoch's loss pass writes the mean weights into the
+sample buffer and its activations into the arena's first n rows, since
+it never runs during a step.  So a step makes no parameter-, batch- or
+(n, width)-sized float temporary, with diagnostics on or off (the
+gradient's finiteness check makes a boolean one, and a masked draw's
+``sample_weights`` finds the pruned indices anew and its penalty value
+the kept ones, each less than one parameter vector), and every
+expression keeps the operands and order, hence the bits, of its
+allocating form in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class _Step:
 
     __slots__ = ("topology", "vp", "prior", "noise_variance", "rows",
                  "grad", "grad_m", "grad_rho", "eps", "w", "layers", "g",
-                 "g_layers", "sigma", "d_m", "d_s2", "sp",
+                 "g_layers", "sigma", "d_m", "d_s2", "sp", "spent",
                  "arena", "pruned", "kept_p")
 
     def __init__(self, topology, vp: VariationalParams, prior,
@@ -244,6 +246,8 @@ class _Step:
         self.g_layers = _layers(topology, self.g)
         self.sigma = sigma_of_rho(vp.rho)
         self.d_m, self.d_s2, self.sp = (np.empty(size) for _ in range(3))
+        # free once a draw's gradient is in grad: the penalty value's work
+        self.spent = (self.w, self.g, self.eps)
         self.arena = [np.empty((max(2 * rows, loss_rows), width))
                       for width in topology.layer_sizes[1:]]
         # indices, not the boolean mask: numpy reads and writes a scattered
@@ -283,9 +287,10 @@ class _Step:
         hidden activation with its gate), and the draw's gradient added to
         ``grad``: the likelihood gradient enters grad_m directly and
         grad_rho via eps * dsigma/drho.  If ``with_penalty``, each draw
-        also makes one :func:`penalty_total` call; without it the objective
-        is the mean NLL, with the same gradient bits.  After the draws the
-        pruned entries of ``grad`` are zeroed.
+        also makes one :func:`penalty_total` call, in the buffers the draw
+        has spent; without it the objective is the mean NLL, with the same
+        gradient bits.  After the draws the pruned entries of ``grad`` are
+        zeroed.
         """
         vp, prior, grad, sigma = self.vp, self.prior, self.grad, self.sigma
         trace, work, t, constant, square = batch
@@ -314,7 +319,8 @@ class _Step:
             g_w += pen_rho
             grad_rho += g_w
             # one sum with or without the penalty: data_nll + 0.0 is data_nll
-            pen = (kl * penalty_total(vp, prior, sigma=sigma)
+            pen = (kl * penalty_total(vp, prior, sigma=sigma,
+                                      work=self.spent)
                    if with_penalty else 0.0)
             obj += data_nll + pen
         if self.pruned is not None:
@@ -459,7 +465,8 @@ def train(
                     or (grad_ok and _penalty_screened(vp, sigma, prior))):
                 # the penalty value, as a run with diagnostics has it, so
                 # the abort names the same culprit
-                obj += kl * penalty_total(vp, prior, sigma=sigma)
+                obj += kl * penalty_total(vp, prior, sigma=sigma,
+                                          work=batch_step.spent)
             if not math.isfinite(obj):
                 raise NumericalAbort(step, "objective")
             if not grad_ok:

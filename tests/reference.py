@@ -3,17 +3,21 @@ state the algorithm, allocating freely.
 
 It has no workspace, no shared row buffers, no penalty screen and no
 in-place arithmetic, and it imports no private name of the library: only
-the ``svi`` closed forms, ``NoiseDraw``, ``minibatch_weights`` and the
-optimizer and init constants.  Every expression keeps the operands and
-order of the library's, so a fixed seed must give the library's bits;
-``tests/test_reference.py`` requires that on random configurations.
+the ``svi`` closed forms, ``minibatch_weights`` and the optimizer and
+init constants.  It draws its noise as the stream is defined,
+``np.random.default_rng([seed, index])``, and sums the penalty of the
+active entries through the allocating ``penalty_R``, so the library's
+block-seeded draws and buffered penalty sum are checked, not shared.
+Every expression keeps the operands and order of the library's, so a
+fixed seed must give the library's bits; ``tests/test_reference.py``
+requires that on random configurations.
 """
 
 import numpy as np
 
 from sparsebnn.svi import (
-    NoiseDraw, VariationalParams, dsigma_drho, grad_penalty, optimal_p,
-    penalty_total, sigma_of_rho,
+    VariationalParams, dsigma_drho, grad_penalty, optimal_p, penalty_R,
+    sigma_of_rho,
 )
 from sparsebnn.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, INIT_M_STD, INIT_RHO, minibatch_weights,
@@ -98,12 +102,21 @@ def batch_step(topology, vp, prior, x, y, noises, kl, noise_variance,
         g_w = net_backward(topology, w, acts, resid / noise_variance)
         grad_m = grad_m + (g_w + pen_m)
         grad_rho = grad_rho + (g_w * e * sp + pen_rho)
-        pen = kl * penalty_total(vp, prior, sigma=sigma) if with_penalty else 0.0
+        pen = kl * penalty_sum(vp, sigma, prior) if with_penalty else 0.0
         obj = obj + (data_nll + pen)
     if vp.active is not None:
         grad_m = np.where(vp.active, grad_m, 0.0)
         grad_rho = np.where(vp.active, grad_rho, 0.0)
     return obj / len(noises), grad_m / len(noises), grad_rho / len(noises)
+
+
+def penalty_sum(vp, sigma, prior):
+    """sum_i R_i over the active entries, as allocating arrays."""
+    m, p = vp.m, vp.p
+    if vp.active is not None:
+        act = np.flatnonzero(vp.active)
+        m, sigma, p = m.take(act), sigma.take(act), p.take(act)
+    return float(penalty_R(m, sigma, p, prior).sum())
 
 
 def reference_train(topology, prior, dataset, config, init=None,
@@ -125,7 +138,7 @@ def reference_train(topology, prior, dataset, config, init=None,
     for epoch in range(config.epochs):
         perm = master.permutation(n)
         for b, idx in enumerate(np.array_split(perm, n_batches)):
-            noises = [NoiseDraw.draw(size, config.seed, i)
+            noises = [np.random.default_rng([config.seed, i]).standard_normal(size)
                       for i in range(draw_index, draw_index + config.mc_samples)]
             draw_index += config.mc_samples
             obj, g_m, g_rho = batch_step(

@@ -617,6 +617,15 @@ BAD_INPUTS = [
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--lr", "nan", "--out", str(tmp / "x")],
         "learning_rate must be finite and positive, got nan", id="cli-lr-nan"),
+    # a library field's error names the option that set it
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--lr", "nan", "--out", str(tmp / "x")],
+        "--lr = nan: learning_rate must be finite", id="cli-lr-nan-named"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--train-frac", "0",
+        "--out", str(tmp / "x")],
+        "--train-frac = 0.0, --split-seed = 0: train_fraction must lie in "
+        "(0, 1), got 0.0", id="cli-train-frac-0"),
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--hidden", "a", "--out", str(tmp / "x")],
         "'a'", id="train-hidden-a"),

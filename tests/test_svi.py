@@ -1,10 +1,13 @@
 """Penalty, closed-form inclusion update, and pathwise gradients."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit, xlogy
 
@@ -19,12 +22,13 @@ from sparsebnn import (
     objective_estimate,
     optimal_p,
     penalty_R,
+    penalty_total,
     sample_weights,
     sigma_of_rho,
     step_gradients,
 )
 from sparsebnn.network import forward, nll
-from sparsebnn.svi import _expit, _xlogx, dsigma_drho
+from sparsebnn.svi import _BLOCK, _expit, _xlogx, dsigma_drho
 
 
 class TestPrior:
@@ -80,6 +84,75 @@ class TestNoiseDraw:
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             NoiseDraw.draw(4, seed=-1)
+
+    def test_consecutive_indices_across_block_edges(self):
+        # one seed's stream as train reads it: index after index, through
+        # the seeds of several blocks
+        edges = [0, _BLOCK, 2 * _BLOCK, 2**32 - _BLOCK]
+        for seed in (0, 7, 2**32 - 1):
+            for index in [i for edge in edges for i in range(edge - 2, edge + 2)
+                          if 0 <= i < 2**32] + [2**32 - 1]:
+                want = np.random.default_rng([seed, index]).standard_normal(5)
+                got = NoiseDraw.draw(5, seed, index)
+                assert got.tobytes() == want.tobytes(), (seed, index)
+
+    def test_two_threads_draw_their_own_streams(self):
+        # numpy fills a large draw without the GIL, so the other thread
+        # seeds its draw meanwhile: on a Generator shared by the threads,
+        # that seeding would show in this one's array
+        size = 20_000
+        indices = range(_BLOCK - 20, _BLOCK + 20)   # across a block edge
+        barrier = threading.Barrier(2, timeout=60)
+        got, errors = {}, []
+
+        def stream(seed):
+            try:
+                out, rows = np.empty(size), []
+                for index in indices:
+                    barrier.wait()
+                    rows.append(NoiseDraw.draw(size, seed, index, out=out)
+                                .tobytes())
+                got[seed] = rows
+            except Exception as exc:   # reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=stream, args=(seed,))
+                   for seed in (11, 12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == [] and sorted(got) == [11, 12]
+        for seed, rows in got.items():
+            for index, row in zip(indices, rows):
+                want = np.random.default_rng([seed, index]).standard_normal(
+                    size)
+                assert row == want.tobytes(), (seed, index)
+
+
+_WORDS = st.integers(0, 2**32 - 1)
+# a seed at either end of the 32-bit range or anywhere in it
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1]), _WORDS)
+# an index at either end, on either side of a block edge, or anywhere
+_INDICES = st.one_of(
+    st.sampled_from([0, 2**32 - 1]),
+    st.integers(1, 2**32 // _BLOCK - 1).flatmap(
+        lambda k: st.sampled_from([k * _BLOCK - 1, k * _BLOCK])),
+    _WORDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(0, 40), a=_SEEDS, b=_SEEDS, i=_INDICES, j=_INDICES,
+       k=_INDICES)
+def test_noise_draw_is_default_rng_byte_for_byte(size, a, b, i, j, k):
+    # seeds interleaved A, B, A, each draw fresh and into one reused out=
+    out = np.empty(size)
+    for seed, index in ((a, i), (b, j), (a, k), (a, min(k + 1, 2**32 - 1))):
+        want = np.random.default_rng([seed, index]).standard_normal(size)
+        assert NoiseDraw.draw(size, seed, index).tobytes() == want.tobytes()
+        assert NoiseDraw.draw(size, seed, index, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def _ulps(got, want):
@@ -234,6 +307,39 @@ class TestPenalty:
             best = grid[int(np.argmin(values))]
             p_star = optimal_p(m, sigma, prior)
             assert abs(best - p_star) <= grid[1] - grid[0]
+
+
+class TestPenaltyTotal:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_buffered_sum_equals_the_allocating_sum(self, seed, masked):
+        # the sum in three work arrays, whatever they held, and the one
+        # that allocates them have the bits of sum(penalty_R) over the
+        # active entries, with p exactly 0 and 1 among them
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 5000))
+        prior = moderate_prior(rng)
+        m = rng.normal(0.0, 1.0, size)
+        rho = rng.uniform(-8.0, 3.0, size)
+        sigma = sigma_of_rho(rho)
+        p = optimal_p(m, sigma, prior)
+        p[rng.random(size) < 0.1] = 0.0
+        p[rng.random(size) < 0.1] = 1.0
+        active = rng.random(size) < 0.5 if masked else None
+        vp = VariationalParams(m, rho, p, active)
+        keep = np.arange(size) if active is None else np.flatnonzero(active)
+        want = float(penalty_R(m[keep], sigma[keep], p[keep], prior).sum())
+        work = tuple(np.full(size, np.nan) for _ in range(3))
+        got = penalty_total(vp, prior, sigma=sigma, work=work)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (np.float64(penalty_total(vp, prior)).tobytes()
+                == np.float64(want).tobytes())
+
+    def test_buffered_x_log_x_equals_the_allocating_one(self):
+        p = np.array([0.0, -0.0, 1.0, 0.5, 1e-300, np.nan, np.inf])
+        out = np.full(p.size, 7.0)
+        assert _xlogx(p, out=out) is out
+        assert out.tobytes() == _xlogx(p).tobytes()
 
 
 class TestOptimalP:

@@ -463,7 +463,8 @@ def test_a_step_allocates_less_than_one_parameter_vector(optimizer):
     # a masked two-draw shape where parameter vectors dwarf the row
     # buffers: a run peaks within the buffers the training module docstring
     # lists plus one parameter vector, which holds the draws' transient
-    # pruned-entry indices
+    # pruned-entry indices and, with diagnostics, the penalty value's
+    # transient kept-entry indices
     rng = np.random.default_rng(21)
     n, batch, epochs = 40, 20, 2
     ds = Dataset(rng.standard_normal((n, 60)), rng.standard_normal(n),
@@ -481,10 +482,11 @@ def test_a_step_allocates_less_than_one_parameter_vector(optimizer):
     listed = (8 * size * vectors + size + 16 * pruned
               + 8 * 2 * batch * sum(topo.layer_sizes[1:])
               + 8 * batch * (topo.n_inputs + 1) + 8 * (3 * epochs + n))
-    train(topo, prior, ds, config, init=init, diagnostics=False)
-    peak = traced_peak(lambda: train(topo, prior, ds, config, init=init,
-                                     diagnostics=False))
-    assert peak < listed + 8 * size, (peak, listed)
+    for diagnostics in (False, True):
+        train(topo, prior, ds, config, init=init, diagnostics=diagnostics)
+        peak = traced_peak(lambda: train(topo, prior, ds, config, init=init,
+                                         diagnostics=diagnostics))
+        assert peak < listed + 8 * size, (diagnostics, peak, listed)
 
 
 # divergent runs; in all but the last the gradient and the penalty value
