@@ -262,13 +262,17 @@ def _prior_from(opts) -> SpikeSlabPrior:
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
+    """The network of the options; a hidden list or activation it rejects
+    raises ConfigError naming both options before the error's own text."""
     try:
         hidden = tuple(int(h) for h in str(opts["hidden"]).split(",")
                        if h.strip())
+        return NetworkTopology((n_features, *hidden, 1),
+                               hidden_activation=opts["activation"])
     except ValueError as exc:
-        raise ConfigError(f"hidden = {opts['hidden']!r}: {exc}") from None
-    return NetworkTopology((n_features, *hidden, 1),
-                           hidden_activation=opts["activation"])
+        raise ConfigError(
+            f"{_flag('activation')} = {opts['activation']!r}, "
+            f"{_flag('hidden')} = {opts['hidden']!r}: {exc}") from None
 
 
 def _train_config_from(opts) -> TrainConfig:

@@ -170,23 +170,12 @@ class ForwardTrace:
     layers: list          # (W, b, W.T) views of params, per affine layer
     acts: list            # x = a_0, a_1 .. a_L, then the outputs z_{L+1}
 
-    @property
-    def hidden(self) -> list:
-        """The input of each affine layer: a_0 = x, a_1 .. a_L."""
-        return self.acts[:-1]
 
-    @property
-    def outputs(self) -> np.ndarray:
-        """The final affine layer's values z_{L+1}."""
-        return self.acts[-1]
-
-
-def _trace(topology, w, x, out, layers=None):
+def _trace(topology, w, x, out):
     """A :class:`ForwardTrace` of ``w`` on ``x`` whose activations are the
-    first x.shape[0] rows of ``out``, one buffer per affine layer;
-    ``layers`` are w's :func:`_layers` views, if the caller has them."""
+    first x.shape[0] rows of ``out``, one buffer per affine layer."""
     rows = x.shape[0]
-    return ForwardTrace(topology, w, layers or _layers(topology, w),
+    return ForwardTrace(topology, w, _layers(topology, w),
                         [x] + [buf[:rows] for buf in out])
 
 

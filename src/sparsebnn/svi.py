@@ -40,14 +40,12 @@ from .network import ShapeMismatch, forward
 
 # SeedSequence splits an int past this into several 32-bit words
 _WORD_LIMIT = 2**32
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BLOCK = 256   # indices of one seed whose PCG64 seeds are mixed at once
-# per thread: a Generator whose state each draw sets, and the last block
+# per thread: the last block of seeds mixed
 _streams = threading.local()
 
 
@@ -87,7 +85,7 @@ class SpikeSlabPrior:
     @cached_property
     def _penalty_terms(self):
         """The slab's and the spike's 2 tau^2 and log term, for
-        :func:`penalty_R`."""
+        :func:`_penalty`."""
         tau1_sq, tau0_sq = self._tau_sq
         return (2.0 * tau1_sq, np.log(self.tau1 / self.pi),
                 2.0 * tau0_sq, np.log(self.tau0 / (1.0 - self.pi)))
@@ -145,9 +143,9 @@ def _hash(value, h, mult):
 
 def _pcg_seeds(seed, start):
     """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for the
-    ``_BLOCK`` indices i from ``start``, one 4-tuple of ints each: numpy's
-    pool mix of the entropy words (seed, i) and its state generation, on
-    uint32 arrays over the block."""
+    ``_BLOCK`` indices i from ``start``, one row of a (_BLOCK, 4) uint64
+    array each: numpy's pool mix of the entropy words (seed, i) and its
+    state generation, on uint32 arrays over the block."""
     pool = [np.full(_BLOCK, seed, np.uint32),
             np.arange(start, start + _BLOCK, dtype=np.uint32),
             np.zeros(_BLOCK, np.uint32), np.zeros(_BLOCK, np.uint32)]
@@ -160,13 +158,26 @@ def _pcg_seeds(seed, start):
                 hashed, h = _hash(pool[src], h, _MULT_A)
                 mixed = pool[dst] * _MIX_L - hashed * _MIX_R
                 pool[dst] = mixed ^ (mixed >> 16)
-    h, words = _INIT_B, []
+    h, words = _INIT_B, np.empty((_BLOCK, 8), np.uint64)
     for i in range(8):
-        word, h = _hash(pool[i % 4], h, _MULT_B)
-        words.append(word.astype(np.uint64))
+        words[:, i], h = _hash(pool[i % 4], h, _MULT_B)
     # little-endian pairs of 32-bit words make each 64-bit word
-    return list(zip(*((words[i] | words[i + 1] << 32).tolist()
-                      for i in range(0, 8, 2))))
+    return words[:, ::2] | words[:, 1::2] << 32
+
+
+class _SeedWords:
+    """A pair's four ``_pcg_seeds`` words as the seed sequence PCG64 reads:
+    a virtual ``numpy.random.bit_generator.ISeedSequence``, registered
+    (again a no-op) when a draw mixes a block, so importing this module
+    loads no ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class NoiseDraw:
@@ -180,10 +191,10 @@ class NoiseDraw:
         written into and returned as ``out`` if given, with the same bits
         as a fresh array's.
 
-        When seed and index are both below 2**32, the draw does not build
-        that Generator: it sets the PCG64 state the pair seeds on one
-        Generator per thread, from the block of ``_BLOCK`` indices whose
-        seeds :func:`_pcg_seeds` mixed at once."""
+        When seed and index are both below 2**32, the pair's SeedSequence
+        is not built: :func:`_pcg_seeds` mixes the seeds of the block of
+        ``_BLOCK`` indices holding it at once, the thread keeps the last
+        block, and numpy seeds a fresh PCG64 from the pair's four words."""
         seed, index = int(seed), int(index)
         if not (0 <= seed < _WORD_LIMIT and 0 <= index < _WORD_LIMIT):
             return np.random.default_rng([seed, index]).standard_normal(
@@ -191,20 +202,12 @@ class NoiseDraw:
         start = index - index % _BLOCK
         streams = _streams
         if getattr(streams, "key", None) != (seed, start):
-            if not hasattr(streams, "gen"):
-                streams.gen = np.random.Generator(np.random.PCG64(0))
+            np.random.bit_generator.ISeedSequence.register(_SeedWords)
             streams.seeds = _pcg_seeds(seed, start)
             streams.key = (seed, start)
-        hi, lo, inc_hi, inc_lo = streams.seeds[index - start]
-        # PCG64's seeding: inc = 2 * initseq + 1, then from state 0 one LCG
-        # step, initstate added, and a second step
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
-        state = (((hi << 64 | lo) + inc) * _PCG_MULT + inc) % 2**128
-        gen = streams.gen
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return gen.standard_normal(size, out=out)
+        words = _SeedWords(streams.seeds[index - start])
+        return np.random.Generator(np.random.PCG64(words)).standard_normal(
+            size, out=out)
 
 
 def _expit(x, out=None):
@@ -261,18 +264,28 @@ def sample_weights(vp: VariationalParams, eps, *, sigma=None,
     return w
 
 
+def _penalty(m, sigma, p, prior, a=None, b=None, c=None):
+    """R's one body: ``a``, ``b`` and ``c``, if given, are three arrays of
+    the inputs' shape that it overwrites, R ending in ``b``; without them
+    each operation allocates, with the same bits."""
+    slab_scale, slab_log, spike_scale, spike_log = prior._penalty_terms
+    s = np.add(np.multiply(m, m, out=a), np.multiply(sigma, sigma, out=b),
+               out=a)
+    slab = np.add(np.divide(s, slab_scale, out=b), slab_log, out=b)
+    spike = np.add(np.divide(s, spike_scale, out=a), spike_log, out=a)
+    q = np.subtract(1.0, p, out=c)
+    r = np.add(np.multiply(p, slab, out=b), np.multiply(q, spike, out=a),
+               out=b)
+    xlogx_q = _xlogx(q, out=a)
+    entropy = np.add(_xlogx(p, out=c), xlogx_q, out=c)
+    r = np.subtract(r, np.log(sigma, out=a), out=b)
+    return np.add(r, entropy, out=b)
+
+
 def penalty_R(m, sigma, p, prior: SpikeSlabPrior):
     """Per-parameter prior-matching penalty (vectorized over the inputs)."""
-    m = np.asarray(m, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    p = np.asarray(p, dtype=float)
-    slab_scale, slab_log, spike_scale, spike_log = prior._penalty_terms
-    s = m * m + sigma * sigma
-    slab = s / slab_scale + slab_log
-    spike = s / spike_scale + spike_log
-    q = 1.0 - p
-    entropy = _xlogx(p) + _xlogx(q)
-    out = p * slab + q * spike - np.log(sigma) + entropy
+    out = _penalty(np.asarray(m, dtype=float), np.asarray(sigma, dtype=float),
+                   np.asarray(p, dtype=float), prior)
     return out if out.ndim else float(out)
 
 
@@ -326,26 +339,14 @@ def penalty_total(vp: VariationalParams, prior: SpikeSlabPrior, *,
     """Sum of R over active parameters; ``sigma`` is softplus(vp.rho), if
     the caller already has it, and ``work``, if given, three arrays of
     vp's length that the sum overwrites.  The bits are those of summing
-    :func:`penalty_R` over the active entries: R's operations run in
-    place, with its operands and order, at every entry, and a masked vp's
-    active entries are gathered in order before the sum."""
+    :func:`penalty_R` over the active entries: R's one body runs in place
+    at every entry, and a masked vp's active entries are gathered in
+    order before the sum."""
     if sigma is None:
         sigma = vp.sigma
-    m, p = vp.m, vp.p
     a, b, c = (work if work is not None
                else (np.empty(len(vp)) for _ in range(3)))
-    slab_scale, slab_log, spike_scale, spike_log = prior._penalty_terms
-    s = np.add(np.multiply(m, m, out=a), np.multiply(sigma, sigma, out=b),
-               out=a)
-    slab = np.add(np.divide(s, slab_scale, out=b), slab_log, out=b)
-    spike = np.add(np.divide(s, spike_scale, out=a), spike_log, out=a)
-    q = np.subtract(1.0, p, out=c)
-    r = np.add(np.multiply(p, slab, out=b), np.multiply(q, spike, out=a),
-               out=b)
-    xlogx_q = _xlogx(q, out=a)
-    entropy = np.add(_xlogx(p, out=c), xlogx_q, out=c)
-    r = np.subtract(r, np.log(sigma, out=a), out=b)
-    r = np.add(r, entropy, out=b)
+    r = _penalty(vp.m, sigma, vp.p, prior, a, b, c)
     if vp.active is not None:
         kept = np.flatnonzero(vp.active)
         r = r.take(kept, out=a[:kept.size], mode="clip")

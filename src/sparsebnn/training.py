@@ -24,15 +24,14 @@ the per-draw ``penalty_total`` and the per-epoch loss pass, with the same
 parameter bits; callers that read only the trained parameters use it.
 
 Each ``train`` call allocates every array it writes once, before its
-first step, and builds every view into them once:
+first step:
 
 - parameter-sized: ``[m | rho]``, which ``vp.m`` and ``vp.rho`` view, and
   ``vp.p``, refreshed in place; adam's two moments and its step vector
   (sgd has none); and in its :class:`_Step` the gradient
   ``[grad_m | grad_rho]`` and its two halves, the noise, the sampled
-  weights with each layer's (W, b, W.T) views, the draw's gradient with
-  the same views, sigma, and the penalty gradient's d_m, d_s2 and
-  dsigma/drho;
+  weights, the draw's gradient, sigma, and the penalty gradient's d_m,
+  d_s2 and dsigma/drho;
 - the pruned entries' indices and their kept p (None for an unpruned
   model);
 - the arena: one row buffer per affine layer with max(2 * batch, n) rows,
@@ -41,12 +40,14 @@ first step, and builds every view into them once:
   step gathers its rows into.
 
 np.array_split gives at most two batch sizes, so :meth:`_Step.bind`
-builds, once per run for each, the batch's forward trace, backward's
-work, the checked target column, the NLL constant and the rows of the
-squared residual; the epoch's loss pass gets its trace over all n rows
-once too.  A draw's activations use the arena's first batch rows, a
-hidden layer's backward delta and the squared residual the next batch
-rows, and its residual and output gradient overwrite the outputs.
+builds, once per run for each, the batch's forward trace (with each
+layer's (W, b, W.T) views of the sampled weights), backward's work (the
+draw's gradient with the same views), the checked target column, the
+NLL constant and the rows of the squared residual; the epoch's loss pass
+gets its trace over all n rows once too.  A draw's activations use the
+arena's first batch rows, a hidden layer's backward delta and the
+squared residual the next batch rows, and its residual and output
+gradient overwrite the outputs.
 ``backward`` takes the hidden activations as its gate buffers too: it
 overwrites a layer's activation with its gate only after that layer's
 weight gradient has read it, and nothing reads it afterwards.  Buffers
@@ -221,16 +222,15 @@ def init_params(
 
 class _Step:
     """The minibatch step of ``vp``'s pathwise objective, with every array
-    a step writes allocated once for batches of up to ``rows`` rows, and
-    the views into them built once (the module docstring lists both).  A
-    caller that runs a full-data pass between steps, as ``train``'s epoch
-    loss does, passes its row count as ``loss_rows`` and writes into the
-    arena's first rows."""
+    a step writes allocated once for batches of up to ``rows`` rows (the
+    module docstring lists them); :meth:`bind` builds a batch's views
+    into them.  A caller that runs a full-data pass between steps, as
+    ``train``'s epoch loss does, passes its row count as ``loss_rows``
+    and writes into the arena's first rows."""
 
     __slots__ = ("topology", "vp", "prior", "noise_variance", "rows",
-                 "grad", "grad_m", "grad_rho", "eps", "w", "layers", "g",
-                 "g_layers", "sigma", "d_m", "d_s2", "sp", "spent",
-                 "arena", "pruned", "kept_p")
+                 "grad", "grad_m", "grad_rho", "eps", "w", "g", "sigma",
+                 "d_m", "d_s2", "sp", "spent", "arena", "pruned", "kept_p")
 
     def __init__(self, topology, vp: VariationalParams, prior,
                  noise_variance, rows: int, loss_rows: int = 0):
@@ -241,9 +241,7 @@ class _Step:
         self.grad_m, self.grad_rho = self.grad[:size], self.grad[size:]
         self.eps = np.empty(size)
         self.w = np.empty(size)
-        self.layers = _layers(topology, self.w)
         self.g = np.empty(size)
-        self.g_layers = _layers(topology, self.g)
         self.sigma = sigma_of_rho(vp.rho)
         self.d_m, self.d_s2, self.sp = (np.empty(size) for _ in range(3))
         # free once a draw's gradient is in grad: the penalty value's work
@@ -265,10 +263,11 @@ class _Step:
         receive the squared residual.  The caller may refill x and y
         between steps."""
         rows = x.shape[0]
-        trace = _trace(self.topology, self.w, x, self.arena, self.layers)
+        trace = _trace(self.topology, self.w, x, self.arena)
         spare = [buf[self.rows:self.rows + rows] for buf in self.arena]
         outputs = trace.acts[-1]
-        return (trace, (self.g, self.g_layers, spare[:-1], trace.acts[1:-1]),
+        return (trace, (self.g, _layers(self.topology, self.g), spare[:-1],
+                        trace.acts[1:-1]),
                 _targets(outputs, y, self.noise_variance),
                 _nll_constant(outputs.size, self.noise_variance), spare[-1])
 
@@ -432,8 +431,7 @@ def train(
     batches = [(lo, hi, kl) + views[hi - lo]
                for lo, hi, kl in zip(bounds, bounds[1:], kl_weights)]
     if diagnostics:
-        loss_trace = _trace(topology, batch_step.w, x_all, batch_step.arena,
-                            batch_step.layers)
+        loss_trace = _trace(topology, batch_step.w, x_all, batch_step.arena)
         loss_t = _targets(loss_trace.acts[-1], y_all, config.noise_variance)
     try:
         objective = np.zeros(config.epochs)

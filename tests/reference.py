@@ -5,9 +5,9 @@ It has no workspace, no shared row buffers, no penalty screen and no
 in-place arithmetic, and it imports no private name of the library: only
 the ``svi`` closed forms, ``minibatch_weights`` and the optimizer and
 init constants.  It draws its noise as the stream is defined,
-``np.random.default_rng([seed, index])``, and sums the penalty of the
-active entries through the allocating ``penalty_R``, so the library's
-block-seeded draws and buffered penalty sum are checked, not shared.
+``np.random.default_rng([seed, index])``, and sums its own transcription
+of the penalty R over the active entries, so the library's block-seeded
+draws and its one R body are checked, not shared.
 Every expression keeps the operands and order of the library's, so a
 fixed seed must give the library's bits; ``tests/test_reference.py``
 requires that on random configurations.
@@ -16,8 +16,7 @@ requires that on random configurations.
 import numpy as np
 
 from sparsebnn.svi import (
-    VariationalParams, dsigma_drho, grad_penalty, optimal_p, penalty_R,
-    sigma_of_rho,
+    VariationalParams, dsigma_drho, grad_penalty, optimal_p, sigma_of_rho,
 )
 from sparsebnn.training import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, INIT_M_STD, INIT_RHO, minibatch_weights,
@@ -110,13 +109,26 @@ def batch_step(topology, vp, prior, x, y, noises, kl, noise_variance,
     return obj / len(noises), grad_m / len(noises), grad_rho / len(noises)
 
 
+def xlogx(x):
+    """x log x, with 0 log 0 = 0."""
+    return x * np.log(np.where(x == 0.0, 1.0, x))
+
+
 def penalty_sum(vp, sigma, prior):
-    """sum_i R_i over the active entries, as allocating arrays."""
+    """sum_i R_i over the active entries, as allocating arrays: R as the
+    ``svi`` module docstring states it, each bracket's log(tau p / (sigma
+    pi)) split into log(tau / pi), x log x and -log sigma, whose two
+    shares add up to one -log sigma."""
     m, p = vp.m, vp.p
     if vp.active is not None:
         act = np.flatnonzero(vp.active)
         m, sigma, p = m.take(act), sigma.take(act), p.take(act)
-    return float(penalty_R(m, sigma, p, prior).sum())
+    s = m * m + sigma * sigma
+    slab = s / (2.0 * prior.tau1**2) + np.log(prior.tau1 / prior.pi)
+    spike = s / (2.0 * prior.tau0**2) + np.log(prior.tau0 / (1.0 - prior.pi))
+    q = 1.0 - p
+    entropy = xlogx(p) + xlogx(q)
+    return float((p * slab + q * spike - np.log(sigma) + entropy).sum())
 
 
 def reference_train(topology, prior, dataset, config, init=None,

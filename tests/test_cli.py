@@ -809,6 +809,19 @@ BAD_INPUTS = [
         "--out", str(tmp / "x")],
         "log_tau0 = 5.0, log_tau1 = 0.0: prior scales must satisfy",
         id="cli-log-tau0-5"),
+    # a topology error names the options that set it
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--hidden", "0", "--out", str(tmp / "x")],
+        "--hidden = '0': all layer sizes must be >= 1: got (5, 0, 1)",
+        id="cli-hidden-0"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--hidden", ",", "--out", str(tmp / "x")],
+        "--hidden = ',': need at least one hidden layer", id="cli-hidden-comma"),
+    pytest.param(lambda run, tmp: [
+        "train", "--data", BAD_DATA, "--out", str(tmp / "x"),
+        "--config", _write(tmp / "act.conf", "activation = sigmoid\n")],
+        "--activation = 'sigmoid', --hidden = '20,10': hidden_activation "
+        "must be one of", id="config-activation-sigmoid"),
 ]
 
 

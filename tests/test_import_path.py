@@ -1,9 +1,12 @@
-"""scipy stays off the import path until a computation needs it.
+"""scipy and numpy.random stay off the import path until a computation
+needs them.
 
 Importing the package and running ``train``, ``prune``, ``importance``
 and ``select`` must load no ``scipy`` module; only the gradient check
-loads ``scipy.integrate``, at its first call.  Each check runs in a fresh
-interpreter, because this test process has loaded scipy long before.
+loads ``scipy.integrate``, at its first call.  Importing the package
+loads no ``numpy.random`` (about 13 ms) beyond what importing numpy
+does: the first noise draw or generator loads it.  Each check runs in a
+fresh interpreter, because this test process has loaded both long before.
 """
 
 import json
@@ -24,19 +27,20 @@ RUN_CLI = (
     "from sparsebnn.cli import main\n"
     "assert main(sys.argv[1:]) == 0\n"
 )
-REPORT_SCIPY = (
+REPORT_LOADED = (
     "import json, sys\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith({!r}))))\n"
 )
 
 
-def _fresh(code, *argv):
-    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
+def _fresh(code, *argv, prefix="scipy"):
+    """Run ``code`` in a fresh interpreter; return the modules it loaded
+    whose names start with ``prefix``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     proc = subprocess.run(
-        [sys.executable, "-c", code + REPORT_SCIPY, *argv],
+        [sys.executable, "-c", code + REPORT_LOADED.format(prefix), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -45,6 +49,13 @@ def _fresh(code, *argv):
 
 def test_importing_the_package_and_cli_loads_no_scipy():
     assert _fresh("import sparsebnn, sparsebnn.cli\n") == []
+
+
+def test_importing_the_package_and_cli_loads_no_numpy_random():
+    # numpy 2 loads numpy.random at first use; numpy 1 at its own import
+    baseline = _fresh("import numpy\n", prefix="numpy.random")
+    assert _fresh("import sparsebnn\n", prefix="numpy.random") == baseline
+    assert _fresh("import sparsebnn.cli\n", prefix="numpy.random") == baseline
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """The package's public names, the parameters of its step, prediction,
-backward and CSV-loading functions, the fields of its result types and
-``Dataset``, what a noise draw returns, where the command line's training
-defaults come from, and the private names its modules import from each
-other, listed exactly.
+backward, penalty, noise-draw and CSV-loading functions, the fields of
+its result types and ``Dataset``, what a noise draw returns, where the
+command line's training defaults come from, and the private names its
+modules import from each other, listed exactly.
 
 Adding or removing a public name, one of those parameters or fields, or
 a private name imported across modules is a deliberate change: it edits
@@ -12,6 +12,7 @@ a list here, so it shows in the diff.
 import ast
 import dataclasses
 import inspect
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +53,12 @@ def test_public_names_are_exactly_the_pinned_list():
                         "kl_weight", "noise_variance"]),
     ("sample_weights", ["vp", "eps", "sigma", "out"]),
     ("backward", ["trace", "loss_grad_at_outputs", "work"]),
+    ("penalty_R", ["m", "sigma", "p", "prior"]),
+    ("penalty_total", ["vp", "prior", "sigma", "work"]),
+    ("NoiseDraw.draw", ["size", "seed", "index", "out"]),
 ])
 def test_step_and_prediction_parameters_are_pinned(name, params):
-    signature = inspect.signature(getattr(sparsebnn, name))
+    signature = inspect.signature(operator.attrgetter(name)(sparsebnn))
     assert list(signature.parameters) == params
 
 
