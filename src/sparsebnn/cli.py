@@ -32,6 +32,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +92,18 @@ DEFAULTS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
+@contextmanager
+def _naming(values, prefix="", errors=ValueError):
+    """Raise an ``errors`` error of the block again as a ValueError of one
+    line, ``prefix: name = value!r, ...: <error text>``, that names each
+    name and value of the dict ``values``; an empty part is left out."""
+    try:
+        yield
+    except errors as exc:
+        named = ", ".join(f"{name} = {value!r}"
+                          for name, value in values.items())
+        head = [part for part in (str(prefix), named) if part]
+        raise ValueError(": ".join([*head, str(exc)])) from None
 
 
 def _flag(key: str) -> str:
@@ -107,7 +118,7 @@ def _parse_kv(text: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"expected key=value, got {part!r}")
+            raise ValueError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -131,62 +142,58 @@ def build_dataset(spec: str) -> Dataset:
         sparse:n=2000,d=100,alpha=2,pi=0.2,link=linear,seed=0
         csv:path=FILE,target=COLUMN
 
-    A key the kind does not take, a value that does not convert to the
-    type of the key's default, or an empty or missing csv path or target
-    raises ConfigError naming the key.  Any other error of a generated
-    dataset, one that cannot be allocated included, or one of fewer than
-    the 2 rows a train/test split needs, raises ConfigError naming the kind
-    and the keys the spec gave (for a csv, the file).
+    A spec without a known kind, or with a part that is not key=value,
+    raises ValueError naming ``--data``; a key the kind does not take, a
+    value that does not convert to the type of the key's default, or an
+    empty or missing csv path or target, one naming the key.  Any other
+    error of a generated dataset (one that cannot be allocated, or of
+    fewer than the 2 rows a train/test split needs, included) names the
+    kind and the keys the spec gave; of a csv, the file.
     """
-    if ":" not in spec:
-        raise ConfigError(f"data spec needs a kind prefix, got {spec!r}")
-    kind, rest = spec.split(":", 1)
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"unknown data kind {kind!r}")
+    with _naming({}, "--data"):
+        if ":" not in spec:
+            raise ValueError(f"data spec needs a kind prefix, got {spec!r}")
+        kind, rest = spec.split(":", 1)
+        if kind not in _DATA_KEYS:
+            raise ValueError(f"unknown data kind {kind!r}")
+        pairs = _parse_kv(rest)
     defaults = _DATA_KEYS[kind]
     given = {}
-    for key, value in _parse_kv(rest).items():
+    for key, value in pairs.items():
         if key not in defaults:
-            raise ConfigError(f"{kind} data spec: unknown key {key!r}; it "
-                              f"takes {', '.join(defaults)}")
+            raise ValueError(f"{kind} data spec: unknown key {key!r}; it "
+                             f"takes {', '.join(defaults)}")
         convert = str if defaults[key] is None else type(defaults[key])
-        try:
+        with _naming({key: value}, f"{kind} data spec"):
             given[key] = convert(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{kind} data spec: {key} = {value!r}: {exc}") from None
     kv = {**defaults, **given}
     if kind == "csv":
         missing = [key for key, value in kv.items() if not value]
         if missing:
-            raise ConfigError("csv spec needs path= and target=; empty or "
-                              f"missing: {', '.join(missing)}")
+            raise ValueError("csv spec needs path= and target=; empty or "
+                             f"missing: {', '.join(missing)}")
         target = kv["target"]
         if target.lstrip("-").isdigit():
             target = int(target)
-        data, source = load_csv(kv["path"], target), kv["path"]
-    else:
-        source = f"{kind} data spec: " + ", ".join(
-            f"{key} = {value!r}" for key, value in given.items())
-        try:
-            if kind == "two_feature":
-                data = gen_two_feature(kv["alpha"], kv["n"], kv["seed"])
-            else:
-                data = gen_sparse_regression(SyntheticSpec(
-                    n=kv["n"], n_features=kv["d"], alpha=kv["alpha"],
-                    pi_active=kv["pi"], link=kv["link"], seed=kv["seed"]))
-        except (MemoryError, ValueError) as exc:
-            # numpy raises ValueError, not MemoryError, past its size limit
-            raise ConfigError(f"{source}: {exc}") from None
-    return _splittable(data, source)
+        return _splittable(load_csv(kv["path"], target), kv["path"])
+    # numpy raises ValueError, not MemoryError, past its size limit
+    with _naming(given, f"{kind} data spec", (MemoryError, ValueError)):
+        if kind == "two_feature":
+            data = gen_two_feature(kv["alpha"], kv["n"], kv["seed"])
+        else:
+            data = gen_sparse_regression(SyntheticSpec(
+                n=kv["n"], n_features=kv["d"], alpha=kv["alpha"],
+                pi_active=kv["pi"], link=kv["link"], seed=kv["seed"]))
+        return _splittable(data)
 
 
-def _splittable(data, source) -> Dataset:
-    """``data``, if it has the 2 rows a train/test split needs; else
-    ConfigError naming ``source``."""
-    if data.n < 2:
-        raise ConfigError(f"{source}: needs at least 2 rows for a "
-                          f"train/test split, got {data.n}")
+def _splittable(data, source="") -> Dataset:
+    """``data``, if it has the 2 rows a train/test split needs; else a
+    ValueError naming ``source``, if given."""
+    with _naming({}, source):
+        if data.n < 2:
+            raise ValueError("needs at least 2 rows for a train/test split, "
+                             f"got {data.n}")
     return data
 
 
@@ -199,7 +206,7 @@ def _read_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -209,7 +216,7 @@ def _coerce(key, value, source):
     """``value`` as the type of option ``key``'s default; ``split_seed``
     is an int and a key without a default (run.json's ``data``) a str.
 
-    A value that does not convert raises ConfigError naming the key and
+    A value that does not convert raises ValueError naming the key and
     ``source``, where the value came from.
     """
     if key == "standardize":
@@ -217,10 +224,8 @@ def _coerce(key, value, source):
             return value
         return str(value).lower() in ("1", "true", "yes")
     kind = int if key == "split_seed" else type(DEFAULTS.get(key, ""))
-    try:
+    with _naming({key: value}, source, (TypeError, ValueError)):
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: {key} = {value!r}: {exc}") from None
 
 
 def resolve_options(args) -> dict:
@@ -235,7 +240,7 @@ def resolve_options(args) -> dict:
                     setattr(args, k, v)
                 continue
             if k not in merged:
-                raise ConfigError(f"unknown config key {k!r}")
+                raise ValueError(f"unknown config key {k!r}")
             merged[k] = _coerce(k, v, config_path)
     for k in DEFAULTS:
         cli_val = getattr(args, k, None)
@@ -247,58 +252,43 @@ def resolve_options(args) -> dict:
 
 
 def _prior_from(opts) -> SpikeSlabPrior:
-    """The prior of the options; an invalid one raises ConfigError naming
-    the three options before the prior's own text."""
-    # an overflow gives an infinite scale, which SpikeSlabPrior names
-    with np.errstate(over="ignore"):
-        tau1, tau0 = np.exp(opts["log_tau1"]), np.exp(opts["log_tau0"])
-    try:
-        return SpikeSlabPrior(pi=opts["prior_pi"], tau1=float(tau1),
-                              tau0=float(tau0))
-    except ValueError as exc:
-        raise ConfigError(
-            f"prior_pi = {opts['prior_pi']}, log_tau0 = {opts['log_tau0']}, "
-            f"log_tau1 = {opts['log_tau1']}: {exc}") from None
+    """The prior of the options; an invalid one raises ValueError naming
+    the three options before the prior's own text.  An overflow gives an
+    infinite scale, which SpikeSlabPrior names."""
+    keys = ("prior_pi", "log_tau0", "log_tau1")
+    with _naming({key: opts[key] for key in keys}):
+        return SpikeSlabPrior(pi=opts["prior_pi"],
+                              tau1=float(np.exp(opts["log_tau1"])),
+                              tau0=float(np.exp(opts["log_tau0"])))
 
 
 def _topology_from(opts, n_features) -> NetworkTopology:
     """The network of the options; a hidden list or activation it rejects
-    raises ConfigError naming both options before the error's own text."""
-    try:
+    raises ValueError naming both options before the error's own text."""
+    with _naming({_flag(key): opts[key] for key in ("activation", "hidden")}):
         hidden = tuple(int(h) for h in str(opts["hidden"]).split(",")
                        if h.strip())
         return NetworkTopology((n_features, *hidden, 1),
                                hidden_activation=opts["activation"])
-    except ValueError as exc:
-        raise ConfigError(
-            f"{_flag('activation')} = {opts['activation']!r}, "
-            f"{_flag('hidden')} = {opts['hidden']!r}: {exc}") from None
 
 
 def _train_config_from(opts) -> TrainConfig:
-    """The options' TrainConfig; a value it rejects raises ConfigError
-    naming the option, found through ``_TRAIN_FIELDS``: each of
-    TrainConfig's messages starts with the field it rejects."""
-    try:
-        return TrainConfig(**{field: opts[key]
-                              for key, field in _TRAIN_FIELDS.items()})
-    except ValueError as exc:
-        key = {field: key for key, field in _TRAIN_FIELDS.items()}.get(
-            str(exc).split(" ", 1)[0])
-        if key is None:
-            raise
-        raise ConfigError(f"{_flag(key)} = {opts[key]!r}: {exc}") from None
+    """The options' TrainConfig; a value it rejects raises ValueError
+    naming the option, found through ``_TRAIN_FIELDS``: each option is
+    checked alone first, as TrainConfig checks each field alone."""
+    fields = {field: opts[key] for key, field in _TRAIN_FIELDS.items()}
+    for key, field in _TRAIN_FIELDS.items():
+        with _naming({_flag(key): opts[key]}):
+            TrainConfig(**{field: fields[field]})
+    return TrainConfig(**fields)
 
 
 def _split(full, opts, repeat=0):
     """Split with seed ``split_seed + repeat``; standardize if opts say so.
-    A fraction or seed the split rejects raises ConfigError naming both."""
+    A fraction or seed the split rejects raises ValueError naming both."""
     seed = opts["split_seed"] + repeat
-    try:
+    with _naming({"--train-frac": opts["train_frac"], "--split-seed": seed}):
         train_ds, test_ds = split(full, opts["train_frac"], seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"--train-frac = {opts['train_frac']!r}, "
-                          f"--split-seed = {seed}: {exc}") from None
     if not opts["standardize"]:
         return train_ds, test_ds, None
     return standardize_fit_apply(train_ds, test_ds)
@@ -326,7 +316,7 @@ def _write_table(path, header, rows) -> None:
 def cmd_train(args) -> int:
     opts = resolve_options(args)
     if args.data is None:
-        raise ConfigError("train requires --data")
+        raise ValueError("train requires --data")
     prior = _prior_from(opts)
     config = _train_config_from(opts)
     train_ds, _, _ = _split(build_dataset(args.data), opts)
@@ -360,9 +350,9 @@ def _load_run(checkpoint_path):
         run = json.loads(run_path.read_text(encoding="utf-8"))
         options = {k: run[k] for k in ("data", *DEFAULTS)}
     except KeyError as exc:
-        raise ConfigError(f"{run_path}: lacks key {exc}") from None
+        raise ValueError(f"{run_path}: lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{run_path}: {exc}") from None
+        raise ValueError(f"{run_path}: {exc}") from None
     return {**run, **{k: _coerce(k, v, run_path) for k, v in options.items()}}
 
 
@@ -372,7 +362,7 @@ def _reload(args):
     data_spec = args.data or run["data"]
     train_ds, test_ds, scaler = _split(build_dataset(data_spec), run)
     if train_ds.n_features != topology.n_inputs:
-        raise ConfigError(f"data {data_spec!r} has {train_ds.n_features} "
+        raise ValueError(f"data {data_spec!r} has {train_ds.n_features} "
                           f"features; {args.checkpoint} takes "
                           f"{topology.n_inputs}")
     return topology, prior, vp, run, train_ds, test_ds, scaler
@@ -380,7 +370,7 @@ def _reload(args):
 
 def _parse_numbers(text, what) -> list[float]:
     """The comma-separated numbers in ``text``, empty tokens skipped; a
-    token that is not a number raises ConfigError naming ``what``."""
+    token that is not a number raises ValueError naming ``what``."""
     values = []
     for tok in str(text).split(","):
         tok = tok.strip()
@@ -388,25 +378,27 @@ def _parse_numbers(text, what) -> list[float]:
             try:
                 values.append(float(tok))
             except ValueError:
-                raise ConfigError(f"{what} {tok!r} is not a number") from None
+                raise ValueError(f"{what} {tok!r} is not a number") from None
     return values
 
 
 def _parse_droprates(text) -> list[float]:
-    """Percentages (values > 1) or fractions, returned as sorted fractions."""
-    rates = [val / 100.0 if val > 1.0 else val
-             for val in _parse_numbers(text, "droprate")]
-    if not rates:
-        raise ConfigError("droprates must name at least one rate")
-    if any(not 0.0 <= r < 1.0 for r in rates):
-        raise ConfigError(f"droprates must map into [0, 1): {text!r}")
+    """Percentages (values > 1) or fractions, returned as sorted fractions;
+    an error names ``--droprates``."""
+    with _naming({}, "--droprates"):
+        rates = [val / 100.0 if val > 1.0 else val
+                 for val in _parse_numbers(text, "droprate")]
+        if not rates:
+            raise ValueError("droprates must name at least one rate")
+        if any(not 0.0 <= r < 1.0 for r in rates):
+            raise ValueError(f"droprates must map into [0, 1): {text!r}")
     return sorted(rates)
 
 
 def _rule(name) -> str:
     """The pruning rule a command-line rule name or alias stands for."""
     if name not in RULE_ALIASES:
-        raise ConfigError(
+        raise ValueError(
             f"unknown rule {name!r}; choose from {sorted(RULE_ALIASES)}"
         )
     return RULE_ALIASES[name]
@@ -447,21 +439,21 @@ def cmd_select(args) -> int:
     retrain = _train_config_from({**run, "seed": run["seed"] + 1})
     report = {"schema_version": SCHEMA_VERSION}
     if args.cv:
-        proportion = cv_threshold(
-            topology, prior, train_ds, retrain,
-            folds=args.folds,
-            candidate_proportions=(_parse_numbers(args.grid, "--grid value")
-                                   if args.grid else None),
-            seed=run["seed"],
-        )
+        with _naming({"--folds": args.folds, "--grid": args.grid}):
+            grid = (_parse_numbers(args.grid, "--grid value") if args.grid
+                    else None)
+            proportion = cv_threshold(topology, prior, train_ds, retrain,
+                                      folds=args.folds,
+                                      candidate_proportions=grid,
+                                      seed=run["seed"])
         # a full-keep proportion (quantile 0) means no thresholding
         quantile = 1.0 - proportion
         report["cv_keep_proportion"] = proportion
     else:
         quantile = args.quantile
-    outcome = variable_selection(
-        topology, vp, train_ds, quantile, retrain, prior
-    )
+    with _naming({} if args.cv else {"--quantile": quantile}):
+        outcome = variable_selection(topology, vp, train_ds, quantile,
+                                     retrain, prior)
     unrestricted_rmse = _test_rmse(topology, vp, test_ds, scaler)
     refit_rmse = _test_rmse(topology, outcome.refit.params,
                             test_ds.with_feature_mask(outcome.selected),
@@ -495,7 +487,7 @@ def cmd_benchmark(args) -> int:
     rule = _rule(DEFAULT_RULE if args.rule is None else args.rule)
     repeats = int(args.repeats)
     if repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
+        raise ValueError("--repeats must be >= 1")
     prior = _prior_from(opts)
     rows = []
     for entry in entries:
@@ -525,13 +517,16 @@ def cmd_benchmark(args) -> int:
 def cmd_gradcheck(args) -> int:
     settings = [(m, s, 0.5, 1.0, 0.1)
                 for m in (-1.0, 0.0, 0.5, 2.0) for s in (0.3, 1.0)]
-    if args.settings:
-        settings = [_parse_numbers(block, "gradcheck setting")
-                    for block in args.settings.split(";")]
-        if any(len(vals) != 5 for vals in settings):
-            raise ConfigError(
-                "each gradcheck setting needs m,sigma,pi,tau1,tau0")
-    rows = variance_comparison(settings, draws=args.draws, seed=args.seed)
+    with _naming({_flag(key): getattr(args, key)
+                  for key in ("draws", "seed", "settings")}):
+        if args.settings:
+            settings = [_parse_numbers(block, "gradcheck setting")
+                        for block in args.settings.split(";")]
+            if any(len(vals) != 5 for vals in settings):
+                raise ValueError(
+                    "each gradcheck setting needs m,sigma,pi,tau1,tau0")
+        rows = variance_comparison(settings, draws=args.draws,
+                                   seed=args.seed)
     _write_table(Path(args.out or "gradcheck.csv"), rows[0],
                  [row.values() for row in rows])
     return 0
@@ -607,10 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the one line below reports a failure, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
         # MemoryError: an option sized an array that cannot be allocated
         print(f"config error: {exc}", file=sys.stderr)

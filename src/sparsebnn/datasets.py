@@ -295,11 +295,13 @@ def load_manifest(path):
     Each entry carries name, path (relative to the manifest), target column,
     and optional expected n/p used to validate ingestion.  A manifest with
     no entries, or a malformed entry, raises ValueError naming the manifest
-    and the entry index.
+    and the entry index; one that is not UTF-8 JSON, naming the manifest.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     entries = doc.get("datasets") if isinstance(doc, dict) else doc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: lists no datasets")

@@ -28,9 +28,8 @@ check does (``scipy.integrate``).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -45,8 +44,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _BLOCK = 256   # indices of one seed whose PCG64 seeds are mixed at once
-# per thread: the last block of seeds mixed
-_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,14 @@ def _hash(value, h, mult):
     return value ^ (value >> 16), h
 
 
+@lru_cache(maxsize=16)
 def _pcg_seeds(seed, start):
     """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for the
-    ``_BLOCK`` indices i from ``start``, one row of a (_BLOCK, 4) uint64
-    array each: numpy's pool mix of the entropy words (seed, i) and its
-    state generation, on uint32 arrays over the block."""
+    ``_BLOCK`` indices i from ``start``, one row of a read-only (_BLOCK, 4)
+    uint64 array each: numpy's pool mix of the entropy words (seed, i) and
+    its state generation, on uint32 arrays over the block.  The 16 blocks
+    used last are cached: a run reads its seed's blocks in order."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     pool = [np.full(_BLOCK, seed, np.uint32),
             np.arange(start, start + _BLOCK, dtype=np.uint32),
             np.zeros(_BLOCK, np.uint32), np.zeros(_BLOCK, np.uint32)]
@@ -162,14 +162,16 @@ def _pcg_seeds(seed, start):
     for i in range(8):
         words[:, i], h = _hash(pool[i % 4], h, _MULT_B)
     # little-endian pairs of 32-bit words make each 64-bit word
-    return words[:, ::2] | words[:, 1::2] << 32
+    seeds = words[:, ::2] | words[:, 1::2] << 32
+    seeds.flags.writeable = False
+    return seeds
 
 
 class _SeedWords:
     """A pair's four ``_pcg_seeds`` words as the seed sequence PCG64 reads:
     a virtual ``numpy.random.bit_generator.ISeedSequence``, registered
-    (again a no-op) when a draw mixes a block, so importing this module
-    loads no ``numpy.random``."""
+    (again a no-op) when :func:`_pcg_seeds` mixes a block, so importing
+    this module loads no ``numpy.random``."""
 
     __slots__ = ("words",)
 
@@ -191,21 +193,17 @@ class NoiseDraw:
         written into and returned as ``out`` if given, with the same bits
         as a fresh array's.
 
-        When seed and index are both below 2**32, the pair's SeedSequence
-        is not built: :func:`_pcg_seeds` mixes the seeds of the block of
-        ``_BLOCK`` indices holding it at once, the thread keeps the last
-        block, and numpy seeds a fresh PCG64 from the pair's four words."""
+        Below 2**32, a pair whose index is not the first of its block of
+        ``_BLOCK`` builds no SeedSequence: :func:`_pcg_seeds` mixes the
+        seeds of the whole block at once, and numpy seeds a fresh PCG64
+        from the pair's four words.  So a one-off (seed, 0) mixes none."""
         seed, index = int(seed), int(index)
-        if not (0 <= seed < _WORD_LIMIT and 0 <= index < _WORD_LIMIT):
+        start = index - index % _BLOCK
+        if index == start or not (
+                0 <= seed < _WORD_LIMIT and 0 <= index < _WORD_LIMIT):
             return np.random.default_rng([seed, index]).standard_normal(
                 size, out=out)
-        start = index - index % _BLOCK
-        streams = _streams
-        if getattr(streams, "key", None) != (seed, start):
-            np.random.bit_generator.ISeedSequence.register(_SeedWords)
-            streams.seeds = _pcg_seeds(seed, start)
-            streams.key = (seed, start)
-        words = _SeedWords(streams.seeds[index - start])
+        words = _SeedWords(_pcg_seeds(seed, start)[index - start])
         return np.random.Generator(np.random.PCG64(words)).standard_normal(
             size, out=out)
 

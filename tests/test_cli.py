@@ -1,14 +1,20 @@
 """End-to-end command-line runs on small synthetic configurations."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import re
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reframe
@@ -27,7 +33,8 @@ from sparsebnn import (
     train,
 )
 from sparsebnn.cli import (
-    DEFAULTS, _load_run, build_dataset, build_parser, main, resolve_options,
+    _DATA_KEYS, DEFAULTS, _load_run, build_dataset, build_parser, main,
+    resolve_options,
 )
 
 FAST = [
@@ -804,6 +811,25 @@ BAD_INPUTS = [
           ("--epochs", "epochs must be >= 1, got 0"),
           ("--batch", "batch_size must be >= 1, got 0"),
           ("--mc-samples", "mc_samples must be >= 1, got 0"))),
+    # each rejection names the option the user typed
+    pytest.param(lambda run, tmp: [
+        "select", "--checkpoint", str(run / "model.ckpt"), "--cv",
+        "--folds", "2", "--grid", "nan"],
+        "--folds = 2, --grid = 'nan': candidate proportions must lie in "
+        "(0, 1]", id="select-cv-grid-nan"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--seed", "-1", "--out", str(tmp / "g.csv")],
+        "--seed = -1, --settings = None: expected non-negative integer",
+        id="gradcheck-seed-minus-1"),
+    pytest.param(lambda run, tmp: [
+        "benchmark", "--manifest", _write(tmp / "empty.json", ""),
+        "--out", str(tmp / "b.csv")],
+        "empty.json: Expecting value: line 1 column 1 (char 0)",
+        id="benchmark-manifest-empty-file"),
+    pytest.param(lambda run, tmp: [
+        "gradcheck", "--draws", str(2**63), "--settings", "0.5,0.3,0.5,1,0.1",
+        "--out", str(tmp / "g.csv")], f"--draws = {2**63}, --seed = 0",
+        id="gradcheck-draws-2e63"),
     pytest.param(lambda run, tmp: [
         "train", "--data", BAD_DATA, "--log-tau0", "5",
         "--out", str(tmp / "x")],
@@ -862,6 +888,24 @@ def test_overflowing_log_scale_gives_only_the_config_error(tmp_path, capsys,
     assert [str(w.message) for w in caught] == []
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("spec, option, code", [
+    ("sparse:n=40,d=3", "--lr=1e308", 3),
+    ("sparse:n=40,d=3", "--noise-variance=5e-324", 3),
+    ("sparse:n=40,d=3,alpha=5e-324", "--lr=0.01", 2),
+], ids=["lr-1e308", "noise-variance-5e-324", "data-alpha-5e-324"])
+def test_numerical_failure_prints_one_line(tmp_path, capsys, spec, option,
+                                           code):
+    # the values overflow on the way to the failure; numpy's warnings of
+    # that are not printed before the line that reports it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--data", spec, "--epochs", "1", "--batch", "8",
+                     option, "--out", str(tmp_path / "x")]) == code
+    assert [str(w.message) for w in caught] == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_head_option_is_gone(tmp_path):
@@ -934,3 +978,146 @@ def test_each_option_resolves_alike_from_every_source(option_dir, data):
         sources["run.json"] = _load_run(option_dir / "model.ckpt")[key]
         for source, resolved in sources.items():
             assert (type(resolved), resolved) == (kind, value), (key, source)
+
+
+
+# the hostile pools, by the type of an option's value; no key takes a size
+# between 3 and 2**62, which would really loop or allocate
+_HOSTILE = {
+    int: [0, -1, 1, 2, 2**62, 2**63],
+    "few": [0, -1, 1, 2],   # a count that each run really loops over
+    float: [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan],
+    str: ["", " ", "x", ","],
+    "path": ["missing", "directory", "empty file"],
+}
+
+
+# the pool of each DEFAULTS or data key that its default's type does not
+# give; standardize, set only from a config file, reads any text
+_POOL_OF = {"mc_samples": "few", "split_seed": int, "standardize": str,
+            "path": "path"}
+
+
+def _pool(key, default):
+    return _POOL_OF.get(key, str if default is None else type(default))
+
+
+# the pool of each (command, key) drawn: every DEFAULTS key, the other
+# options of each command, and each data key (as "kind:key") of train's
+# --data
+_HOSTILE_KEYS = {
+    **{("train", key): _pool(key, default)
+       for key, default in DEFAULTS.items()},
+    **{(command, key): pool for command, options in {
+        "train": {"config": "path", "data": str, "out": "path"},
+        "prune": {"checkpoint": "path", "rule": str, "droprates": str,
+                  "data": str, "out": "path"},
+        "select": {"checkpoint": "path", "quantile": float, "folds": int,
+                   "grid": str, "data": str, "out": "path"},
+        "gradcheck": {"draws": int, "seed": int, "settings": str,
+                      "out": "path"},
+        "benchmark": {"manifest": "path", "rule": str, "droprates": str,
+                      "repeats": "few", "config": "path", "out": "path"},
+    }.items() for key, pool in options.items()},
+    **{("train", f"{kind}:{key}"): _pool(key, default)
+       for kind, keys in _DATA_KEYS.items() for key, default in keys.items()},
+}
+# each data kind's spec at tiny valid values, before the drawn key
+_DATA_BASE = {"two_feature": "n=40", "sparse": "n=40,d=3",
+              "csv": "path={csv},target=y"}
+
+
+@pytest.fixture(scope="module")
+def hostile_base(tmp_path_factory):
+    """A tiny trained run, a CSV of 40 rows and a manifest listing it."""
+    base = tmp_path_factory.mktemp("hostile")
+    rows = np.random.default_rng(0).standard_normal((40, 3))
+    _write(base / "data.csv", "a,b,y\n" + "".join(
+        f"{a},{b},{y}\n" for a, b, y in rows))
+    _write(base / "manifest.json", json.dumps({"datasets": [
+        {"name": "data", "path": "data.csv", "target": "y"}]}))
+    assert main(["train", "--data=sparse:n=40,d=3", "--epochs=1",
+                 "--hidden=2", f"--out={base / 'run'}"]) == 0
+    return base
+
+
+def _hostile_argv(base, tmp, command, key, text):
+    """``command`` at tiny valid values, with ``key`` set to ``text``."""
+    checkpoint = f"--checkpoint={base / 'run' / 'model.ckpt'}"
+    argv = {
+        "train": ["train", "--data=sparse:n=40,d=3", "--epochs=1",
+                  "--batch=8", "--hidden=2", f"--out={tmp / 'run'}"],
+        "prune": ["prune", checkpoint, "--droprates=50",
+                  f"--out={tmp / 'p.csv'}"],
+        "select": ["select", checkpoint, f"--out={tmp / 's.json'}"],
+        "gradcheck": ["gradcheck", "--draws=2", "--settings=0.5,0.3,0.5,1,0.1",
+                      f"--out={tmp / 'g.csv'}"],
+        "benchmark": ["benchmark", f"--manifest={base / 'manifest.json'}",
+                      "--repeats=1", "--epochs=1", "--hidden=2",
+                      "--droprates=50", f"--out={tmp / 'b.csv'}"],
+    }[command]
+    if command == "select" and key in ("folds", "grid"):
+        argv += ["--cv", "--folds=2", "--grid=1.0"]
+    if ":" in key:
+        kind, key = key.split(":")
+        spec = _DATA_BASE[kind].format(csv=base / "data.csv")
+        return argv + [f"--data={kind}:{spec},{key}={text}"]
+    if key == "standardize":   # set only from a config file
+        return argv + [f"--config={_write(tmp / 'r.conf', f'{key} = {text}')}"]
+    return argv + [f"--{key.replace('_', '-')}={text}"]
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=st.sampled_from(sorted(_HOSTILE_KEYS, key=str)).flatmap(
+    lambda case: st.tuples(*map(st.just, case),
+                           st.sampled_from(_HOSTILE[_HOSTILE_KEYS[case]]))))
+# the hostile values that once printed numpy's warnings before their line,
+# or a line that named nothing the user typed
+@example(case=("train", "lr", 1e308))
+@example(case=("train", "noise_variance", 5e-324))
+@example(case=("train", "sparse:alpha", 5e-324))
+@example(case=("select", "grid", "nan"))
+@example(case=("gradcheck", "seed", -1))
+@example(case=("benchmark", "manifest", "empty file"))
+@example(case=("gradcheck", "draws", 2**63))
+def test_each_hostile_value_fails_in_one_line_naming_it(hostile_base, case):
+    """One hostile value of any option or data key exits 0, 2 or 3; a
+    failure prints one line, and a failed train leaves no --out directory.
+    A rejected value's line names the key, its option or its path."""
+    command, key, value = case
+    is_path = _HOSTILE_KEYS[command, key] == "path"
+    with tempfile.TemporaryDirectory(dir=hostile_base) as tmp:
+        tmp = Path(tmp)
+        (tmp / "dir").mkdir()
+        paths = {"missing": tmp / "nodir" / "file", "directory": tmp / "dir",
+                 "empty file": _write(tmp / "empty", "")}
+        text = str(paths[value] if is_path else value)
+        argv = _hostile_argv(hostile_base, tmp, command, key, text)
+        out = Path([arg for arg in argv if arg.startswith("--out=")][-1][6:])
+        existed = out.exists()
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejected the value
+                code, (usage, *_, line) = exc.code, err.getvalue().splitlines()
+                assert usage.startswith("usage:") and "error:" in line
+                err = io.StringIO(line)
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            return
+        if command == "train" and not existed:
+            assert not out.exists(), argv
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1, (argv, lines)
+        name = key.split(":")[-1]
+        if code == 3:   # a diverged run cannot tell which value diverged
+            assert lines[0].startswith("numerical abort:"), argv
+        elif is_path:
+            assert text in lines[0], (argv, lines)
+        else:
+            assert (f"--{name.replace('_', '-')}" in lines[0]
+                    or re.search(rf"\b{name}\b", lines[0])), (argv, lines)

@@ -28,7 +28,7 @@ from sparsebnn import (
     step_gradients,
 )
 from sparsebnn.network import forward, nll
-from sparsebnn.svi import _BLOCK, _expit, _xlogx, dsigma_drho
+from sparsebnn.svi import _BLOCK, _expit, _pcg_seeds, _xlogx, dsigma_drho
 
 
 class TestPrior:
@@ -95,6 +95,15 @@ class TestNoiseDraw:
                 want = np.random.default_rng([seed, index]).standard_normal(5)
                 got = NoiseDraw.draw(5, seed, index)
                 assert got.tobytes() == want.tobytes(), (seed, index)
+
+    def test_only_a_block_read_past_its_first_index_is_mixed(self):
+        _pcg_seeds.cache_clear()
+        for seed in range(7000, 7020):   # one draw per seed, as callers do
+            NoiseDraw.draw(3, seed, 0)
+        assert _pcg_seeds.cache_info().misses == 0
+        for index in range(2 * _BLOCK):   # one seed's stream, as train reads
+            NoiseDraw.draw(3, 11, index)
+        assert _pcg_seeds.cache_info().misses == 2
 
     def test_two_threads_draw_their_own_streams(self):
         # numpy fills a large draw without the GIL, so the other thread
